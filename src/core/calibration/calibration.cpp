@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.h"
+#include "kernels/kernels.h"
 
 namespace mulink::core {
 
@@ -117,6 +118,12 @@ void ProfilePosterior::Configure(std::size_t num_antennas,
   seed_amplitude_.assign(cells, 0.0);
   // mulink-lint: allow(alloc): Configure, setup path
   seed_variance_.assign(cells, 0.0);
+  // mulink-lint: allow(alloc): Configure, setup path
+  sum_power_.assign(cells, 0.0);
+  // mulink-lint: allow(alloc): Configure, setup path
+  sum_power_sq_.assign(cells, 0.0);
+  // mulink-lint: allow(alloc): Configure, setup path
+  sum_amplitude_.assign(cells, 0.0);
   weight_ = seed_weight_ = 0.0;
 }
 
@@ -149,29 +156,31 @@ void ProfilePosterior::SeedFrom(const Detector& detector) {
 void ProfilePosterior::Observe(std::span<const wifi::CsiPacket> window,
                                double forgetting) {
   if (window.empty() || num_antennas_ == 0) return;
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "ProfilePosterior: window shape mismatch");
+  // Packet-major walk over each packet's contiguous antenna-major cells
+  // into per-cell sums; every cell still adds its packets in window order.
+  const std::size_t cells = num_antennas_ * num_subcarriers_;
+  std::fill(sum_power_.begin(), sum_power_.end(), 0.0);
+  std::fill(sum_power_sq_.begin(), sum_power_sq_.end(), 0.0);
+  std::fill(sum_amplitude_.begin(), sum_amplitude_.end(), 0.0);
+  for (const auto& packet : window) {
+    MULINK_REQUIRE(packet.NumAntennas() == num_antennas_ &&
+                       packet.NumSubcarriers() == num_subcarriers_,
+                   "ProfilePosterior: window shape mismatch");
+    kernels::PowerMomentsAccumulate(packet.csi.raw(), cells, sum_power_.data(),
+                                    sum_power_sq_.data(),
+                                    sum_amplitude_.data());
+  }
   const double inv_n = 1.0 / static_cast<double>(window.size());
   weight_ = forgetting * weight_ + 1.0;
   const double inv_w = 1.0 / weight_;
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      double sum_p = 0.0, sum_p2 = 0.0, sum_a = 0.0;
-      for (const auto& packet : window) {
-        const double p = packet.SubcarrierPower(m, k);
-        sum_p += p;
-        sum_p2 += p * p;
-        sum_a += std::sqrt(p);
-      }
-      const double mean_p = sum_p * inv_n;
-      const double mean_a = sum_a * inv_n;
-      const double var = std::max(sum_p2 * inv_n - mean_p * mean_p, 0.0);
-      const std::size_t idx = m * num_subcarriers_ + k;
-      mean_power_[idx] += (mean_p - mean_power_[idx]) * inv_w;
-      mean_amplitude_[idx] += (mean_a - mean_amplitude_[idx]) * inv_w;
-      mean_variance_[idx] += (var - mean_variance_[idx]) * inv_w;
-    }
+  for (std::size_t idx = 0; idx < cells; ++idx) {
+    const double mean_p = sum_power_[idx] * inv_n;
+    const double mean_a = sum_amplitude_[idx] * inv_n;
+    const double var =
+        std::max(sum_power_sq_[idx] * inv_n - mean_p * mean_p, 0.0);
+    mean_power_[idx] += (mean_p - mean_power_[idx]) * inv_w;
+    mean_amplitude_[idx] += (mean_a - mean_amplitude_[idx]) * inv_w;
+    mean_variance_[idx] += (var - mean_variance_[idx]) * inv_w;
   }
 }
 

@@ -285,6 +285,10 @@ class ProfilePosterior {
   std::vector<double> seed_power_;
   std::vector<double> seed_amplitude_;
   std::vector<double> seed_variance_;
+  // Observe's per-cell window sums (power, power^2, amplitude).
+  std::vector<double> sum_power_;
+  std::vector<double> sum_power_sq_;
+  std::vector<double> sum_amplitude_;
 };
 
 // One decision's worth of context the ladder needs from the ingest path.

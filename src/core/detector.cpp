@@ -189,22 +189,32 @@ double Detector::ScoreSanitized(std::span<const wifi::CsiPacket> window,
 double Detector::ScoreSanitizedPrepared(
     std::span<const wifi::CsiPacket> window,
     const PreparedWindowFactors& factors, DetectorScratch& scratch) const {
-  // With ingest-split slabs the combined scheme never touches the window
-  // packets, so the caller may pass an empty window span.
-  const bool slab_window =
-      window.empty() && !factors.csi_slabs.empty() &&
-      config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting;
+  // With ingest-cached slabs (combined scheme) or power rows (subcarrier
+  // and variance schemes) the score never touches the window packets, so
+  // the caller may pass an empty window span.
+  const bool power_scheme =
+      config_.scheme == DetectionScheme::kSubcarrierWeighting ||
+      config_.scheme == DetectionScheme::kVarianceMobile;
+  const bool cached_window =
+      window.empty() &&
+      ((config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting &&
+        !factors.csi_slabs.empty()) ||
+       (power_scheme && !factors.power_rows.empty()));
   const std::size_t window_packets =
-      slab_window ? factors.csi_slabs.size() : window.size();
+      cached_window ? factors.mu_rows.size() : window.size();
   MULINK_REQUIRE(window_packets > 0,
                  "Detector::ScoreSanitizedPrepared: empty window");
-  MULINK_REQUIRE(slab_window ||
+  MULINK_REQUIRE(cached_window ||
                      (window[0].NumAntennas() == num_antennas_ &&
                       window[0].NumSubcarriers() == num_subcarriers_),
                  "Detector::ScoreSanitizedPrepared: window dimensions "
                  "mismatch calibration");
   MULINK_REQUIRE(factors.mu_rows.size() == window_packets &&
-                     factors.medians.size() == window_packets,
+                     factors.medians.size() == window_packets &&
+                     (factors.csi_slabs.empty() ||
+                      factors.csi_slabs.size() == window_packets) &&
+                     (factors.power_rows.empty() ||
+                      factors.power_rows.size() == window_packets),
                  "Detector::ScoreSanitizedPrepared: factors/window size "
                  "mismatch");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
@@ -313,8 +323,18 @@ void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
   } else {
     MeasureMultipathFactorsInto(sanitized, band_, scratch.mu,
                                 scratch.multipath);
-    ComputeSubcarrierWeightsInto(scratch.mu, config_.weighting_mode,
-                                 scratch.weights, scratch.median_scratch);
+    // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+    scratch.mu_rows.resize(sanitized.size());
+    // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+    scratch.mu_medians.resize(sanitized.size());
+    for (std::size_t i = 0; i < sanitized.size(); ++i) {
+      scratch.mu_rows[i] = scratch.mu[i].data();
+    }
+    MuRowMediansInto(scratch.mu_rows, num_subcarriers_,
+                     scratch.mu_medians.data(), scratch.mu_median);
+    ComputeSubcarrierWeightsInto(scratch.mu_rows, scratch.mu_medians,
+                                 num_subcarriers_, config_.weighting_mode,
+                                 scratch.weights);
   }
 }
 
@@ -553,17 +573,23 @@ double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
   // Exactly one full-mask iteration of ScoreBaseline's packet loop: the
   // antennas accumulate in index order and the per-antenna subcarrier walk
   // is unchanged, so folding these values with ScoreBaselinePrepared below
-  // reproduces ScoreBaseline bit for bit.
+  // reproduces ScoreBaseline bit for bit. The walk reads the packet's
+  // contiguous antenna-major cells directly.
+  MULINK_REQUIRE(packet.NumAntennas() == num_antennas_ &&
+                     packet.NumSubcarriers() == num_subcarriers_,
+                 "Detector::BaselinePacketScore: packet shape mismatch");
+  const Complex* cell = packet.csi.raw();
   double packet_score = 0.0;
   for (std::size_t m = 0; m < num_antennas_; ++m) {
+    const double* profile = profile_amplitude_[m].data();
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      const double amp = std::sqrt(packet.SubcarrierPower(m, k));
-      const double diff =
-          (amp - profile_amplitude_[m][k]) / profile_scale_amplitude_;
+      const double amp = std::sqrt(std::norm(cell[k]));
+      const double diff = (amp - profile[k]) / profile_scale_amplitude_;
       sum_sq += diff * diff;
     }
     packet_score += std::sqrt(sum_sq);
+    cell += num_subcarriers_;
   }
   return packet_score;
 }
@@ -586,6 +612,102 @@ double Detector::ScoreBaselinePrepared(std::span<const double> packet_scores,
   return score / static_cast<double>(packet_scores.size());
 }
 
+void Detector::PowerRowInto(const wifi::CsiPacket& packet, double* row) {
+  const Complex* cell = packet.csi.raw();
+  const std::size_t cells = packet.NumAntennas() * packet.NumSubcarriers();
+  for (std::size_t c = 0; c < cells; ++c) row[c] = std::norm(cell[c]);
+}
+
+std::span<const double* const> Detector::WindowPowerRows(
+    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
+    const PreparedWindowFactors* prepared) const {
+  if (prepared != nullptr && !prepared->power_rows.empty()) {
+    return prepared->power_rows;
+  }
+  const std::size_t cells = num_antennas_ * num_subcarriers_;
+  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+  scratch.power_block.resize(sanitized.size() * cells);
+  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+  scratch.power_rows.resize(sanitized.size());
+  for (std::size_t i = 0; i < sanitized.size(); ++i) {
+    MULINK_REQUIRE(sanitized[i].NumAntennas() == num_antennas_ &&
+                       sanitized[i].NumSubcarriers() == num_subcarriers_,
+                   "Detector: window packet shape mismatch");
+    double* const row = scratch.power_block.data() + i * cells;
+    PowerRowInto(sanitized[i], row);
+    scratch.power_rows[i] = row;
+  }
+  return scratch.power_rows;
+}
+
+void Detector::FoldPowerRows(std::span<const double* const> rows,
+                             std::uint32_t live_mask, bool spread,
+                             DetectorScratch& scratch) const {
+  const std::size_t n = rows.size();
+  const std::size_t num_sc = num_subcarriers_;
+  const std::size_t cells = num_antennas_ * num_sc;
+  auto& stat = scratch.cell_stat;
+  auto& center = scratch.cell_center;
+  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+  stat.resize(cells);
+  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+  center.resize(cells);
+  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+  scratch.fold_rows.resize(n);
+  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
+  scratch.median_scratch.resize(n);
+  // Each run of adjacent live antennas is one contiguous block of columns
+  // (a full mask is a single run over every cell).
+  for (std::size_t first = 0; first < num_antennas_;) {
+    if (((live_mask >> first) & 1u) == 0) {
+      ++first;
+      continue;
+    }
+    std::size_t last = first + 1;
+    while (last < num_antennas_ && ((live_mask >> last) & 1u) != 0) ++last;
+    const std::size_t base = first * num_sc;
+    const std::size_t cols = (last - first) * num_sc;
+    first = last;
+    double* const level = (spread ? center.data() : stat.data()) + base;
+    if (!config_.robust_window_aggregate) {
+      // dsp::Mean / dsp::Variance per cell, rows added in window order.
+      std::fill(level, level + cols, 0.0);
+      for (const double* row : rows) {
+        for (std::size_t c = 0; c < cols; ++c) level[c] += row[base + c];
+      }
+      for (std::size_t c = 0; c < cols; ++c) {
+        level[c] /= static_cast<double>(n);
+      }
+      if (!spread) continue;
+      double* const var = stat.data() + base;
+      std::fill(var, var + cols, 0.0);
+      for (const double* row : rows) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          const double d = row[base + c] - level[c];
+          var[c] += d * d;
+        }
+      }
+      for (std::size_t c = 0; c < cols; ++c) {
+        var[c] /= static_cast<double>(n);
+      }
+      continue;
+    }
+    // Exact selection: the values dsp::Median and dsp::MedianAbsDeviation
+    // return for each cell's window column.
+    for (std::size_t i = 0; i < n; ++i) scratch.fold_rows[i] = rows[i] + base;
+    kernels::ColumnMedians(scratch.fold_rows.data(), n, cols, level,
+                           scratch.median_scratch.data());
+    if (!spread) continue;
+    double* const mad = stat.data() + base;
+    kernels::ColumnMedianDeviations(scratch.fold_rows.data(), n, cols, level,
+                                    mad, scratch.median_scratch.data());
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double robust_sigma = 1.4826 * mad[c];
+      mad[c] = robust_sigma * robust_sigma;
+    }
+  }
+}
+
 double Detector::ScoreSubcarrierWeighting(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
     std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
@@ -603,27 +725,21 @@ double Detector::ScoreSubcarrierWeighting(
   // the dead rows (a silent chain reads as a full-profile deviation).
   const std::size_t live = static_cast<std::size_t>(
       std::popcount(live_mask & FullAntennaMask()));
+  FoldPowerRows(WindowPowerRows(sanitized, scratch, prepared), live_mask,
+                /*spread=*/false, scratch);
   double score = 0.0;
-  auto& powers = scratch.powers;
-  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
-  powers.resize(sanitized.size());
   for (std::size_t m = 0; m < num_antennas_; ++m) {
     if (((live_mask >> m) & 1u) == 0) continue;
+    const double* const window_power =
+        scratch.cell_stat.data() + m * num_subcarriers_;
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      for (std::size_t i = 0; i < sanitized.size(); ++i) {
-        powers[i] = sanitized[i].SubcarrierPower(m, k);
-      }
-      const double window_power =
-          config_.robust_window_aggregate
-              ? dsp::Median(powers, scratch.median_scratch)
-              : dsp::Mean(powers);
       // Eq. 12's linear power difference, normalized by the profile's mean
       // power so one global threshold works across links. (A dB-domain
       // difference was evaluated and rejected: the log expands the noise of
       // deep-fade subcarriers — exactly the ones Eq. 15 up-weights.)
       const double delta_s =
-          (window_power - profile_power_[m][k]) / profile_scale_power_;
+          (window_power[k] - profile_power_[m][k]) / profile_scale_power_;
       const double weighted = (weights.weights[k] / uniform) * delta_s;
       sum_sq += weighted * weighted;
     }
@@ -635,7 +751,9 @@ double Detector::ScoreSubcarrierWeighting(
 double Detector::ScoreVarianceMobile(
     std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
     std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
-  MULINK_REQUIRE(sanitized.size() >= 2,
+  const std::size_t packets =
+      prepared != nullptr ? prepared->mu_rows.size() : sanitized.size();
+  MULINK_REQUIRE(packets >= 2,
                  "Detector: variance statistic needs >= 2 packets");
   ComputeWindowWeights(sanitized, scratch, prepared);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
@@ -644,33 +762,23 @@ double Detector::ScoreVarianceMobile(
 
   const std::size_t live = static_cast<std::size_t>(
       std::popcount(live_mask & FullAntennaMask()));
+  // EXCESS temporal spread over the empty-room floor (walkers, noise and
+  // interference already vibrate the channel; only spread beyond that is
+  // evidence of a moving person). The robust aggregate swaps the variance
+  // for a MAD-based estimate that one interference burst cannot inflate;
+  // both are normalized like Delta_s so one global threshold works across
+  // links.
+  FoldPowerRows(WindowPowerRows(sanitized, scratch, prepared), live_mask,
+                /*spread=*/true, scratch);
   double score = 0.0;
-  auto& powers = scratch.powers;
-  // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
-  powers.resize(sanitized.size());
   for (std::size_t m = 0; m < num_antennas_; ++m) {
     if (((live_mask >> m) & 1u) == 0) continue;
+    const double* const window_variance =
+        scratch.cell_stat.data() + m * num_subcarriers_;
     double sum_sq = 0.0;
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      for (std::size_t i = 0; i < sanitized.size(); ++i) {
-        powers[i] = sanitized[i].SubcarrierPower(m, k);
-      }
-      // EXCESS temporal spread over the empty-room floor (walkers, noise
-      // and interference already vibrate the channel; only spread beyond
-      // that is evidence of a moving person). The robust aggregate swaps the
-      // variance for a MAD-based estimate that one interference burst cannot
-      // inflate; both are normalized like Delta_s so one global threshold
-      // works across links.
-      double window_variance;
-      if (config_.robust_window_aggregate) {
-        const double robust_sigma =
-            1.4826 * dsp::MedianAbsDeviation(powers, scratch.median_scratch);
-        window_variance = robust_sigma * robust_sigma;
-      } else {
-        window_variance = dsp::Variance(powers);
-      }
       const double excess =
-          std::max(0.0, window_variance - profile_variance_[m][k]);
+          std::max(0.0, window_variance[k] - profile_variance_[m][k]);
       const double sigma = std::sqrt(excess) / profile_scale_power_;
       const double weighted = (weights.weights[k] / uniform) * sigma;
       sum_sq += weighted * weighted;

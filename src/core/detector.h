@@ -109,9 +109,20 @@ struct DetectorScratch {
   std::vector<wifi::CsiPacket> sanitized;
   MultipathScratch multipath;
   std::vector<std::vector<double>> mu;
+  std::vector<const double*> mu_rows;
+  std::vector<double> mu_medians;
+  MuMedianScratch mu_median;
   SubcarrierWeights weights;
   std::vector<double> median_scratch;
-  std::vector<double> powers;  // per-window temporal powers of one subcarrier
+  // Power-row fold (subcarrier and variance schemes): the window's power
+  // rows when the caller did not prepare them (packet-major, one row of
+  // antennas x subcarriers per packet), the row views the selection kernel
+  // reads, and the per-cell centre (median or mean) and statistic.
+  std::vector<double> power_block;
+  std::vector<const double*> power_rows;
+  std::vector<const double*> fold_rows;
+  std::vector<double> cell_center;
+  std::vector<double> cell_stat;
   linalg::CMatrix monitor_cov;
   linalg::CMatrix profile_cov;
   // Per-subcarrier covariance stack of the detector's retained calibration
@@ -173,14 +184,27 @@ class Detector {
     // can skip materializing the window entirely (pass an empty window span
     // to ScoreSanitizedPrepared). Ignored by the other schemes.
     std::span<const double* const> csi_slabs;
+    // Optional ingest-cached power rows, one per window packet (see
+    // PowerRowInto). When set, the subcarrier and variance schemes fold
+    // their window statistic from these rows instead of the window
+    // packets, so the caller may pass an empty window span to
+    // ScoreSanitizedPrepared. Ignored by the other schemes.
+    std::span<const double* const> power_rows;
   };
 
   // ScoreSanitized with ingest-prepared multipath factors. Bit-identical to
   // ScoreSanitized on the same window when the factors match what
-  // MeasureMultipathFactorsInto / dsp::Median produce for its packets.
+  // MeasureMultipathFactorsInto / MuRowMediansInto (and PowerRowInto)
+  // produce for its packets.
   MULINK_HOT double ScoreSanitizedPrepared(
       std::span<const wifi::CsiPacket> window,
       const PreparedWindowFactors& factors, DetectorScratch& scratch) const;
+
+  // One packet's power row: row[m * subcarriers + k] = std::norm of CSI
+  // cell (m, k), antenna-major — a deterministic per-packet map of the
+  // sanitized packet, like the multipath factors. `row` holds
+  // antennas x subcarriers doubles.
+  static void PowerRowInto(const wifi::CsiPacket& packet, double* row);
 
   // Per-packet contribution to the baseline statistic: the full-mask inner
   // body of ScoreBaseline (sum over antennas of the normalized amplitude
@@ -328,6 +352,18 @@ class Detector {
                                   DetectorScratch& scratch,
                                   std::uint32_t live_mask,
                                   const PreparedWindowFactors* prepared) const;
+  // The window's power rows: the prepared ones when given, else filled
+  // into scratch from the sanitized packets in one pass.
+  std::span<const double* const> WindowPowerRows(
+      std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
+      const PreparedWindowFactors* prepared) const;
+  // Per-cell window statistic of the power rows into scratch.cell_stat,
+  // for the antennas in live_mask: the level (median, or mean when
+  // robust_window_aggregate is off) or the spread ((1.4826 MAD)^2, or the
+  // variance). Each cell folds its rows in window order.
+  void FoldPowerRows(std::span<const double* const> rows,
+                     std::uint32_t live_mask, bool spread,
+                     DetectorScratch& scratch) const;
   double ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
                        DetectorScratch& scratch,
                        const PreparedWindowFactors* prepared) const;

@@ -60,8 +60,26 @@ struct SensingEngine::LinkState {
       mu_window.resize(config.window_packets, nullptr);
       // mulink-lint: allow(alloc): ctor, setup path
       median_window.resize(config.window_packets, 0.0);
-      if (view->config().scheme ==
-          DetectionScheme::kSubcarrierAndPathWeighting) {
+      // mulink-lint: allow(alloc): ctor, setup path
+      pending_rows.resize(config.window_packets, nullptr);
+      // mulink-lint: allow(alloc): ctor, setup path
+      pending_medians.resize(config.window_packets, 0.0);
+      const std::size_t num_sub = view->num_subcarriers();
+      mu_median_scratch.Shape(num_sub);
+      const DetectionScheme scheme = view->config().scheme;
+      if (scheme == DetectionScheme::kSubcarrierWeighting ||
+          scheme == DetectionScheme::kVarianceMobile) {
+        // Power-row cache: each ring slot keeps its packet's per-cell
+        // power (Detector::PowerRowInto), so the window statistic folds
+        // from contiguous rows instead of re-deriving window_packets x
+        // cells powers from the packets every hop.
+        power_stride = view->num_antennas() * num_sub;
+        // mulink-lint: allow(alloc): ctor, setup path
+        power_ring.resize(config.window_packets * power_stride, 0.0);
+        // mulink-lint: allow(alloc): ctor, setup path
+        power_window.resize(config.window_packets, nullptr);
+      }
+      if (scheme == DetectionScheme::kSubcarrierAndPathWeighting) {
         // Split-complex slab cache (see SampleCovarianceSlabsInto): each
         // ring slot keeps its packet pre-deinterleaved so full-mask
         // combined windows skip both the window copy and the per-window
@@ -110,6 +128,7 @@ struct SensingEngine::LinkState {
       write_pos = 0;
       count = 0;
       packets_since_decision = 0;
+      mu_median_pending = 0;
     }
     if (write_pos >= ring.size()) {
       // mulink-lint: allow(alloc): initial ring fill only; capacity reserved in ctor
@@ -127,11 +146,15 @@ struct SensingEngine::LinkState {
       // sanitized slot, so they ride the ring too: each hop's decision
       // reuses window-hop rows instead of re-deriving all window_packets
       // of them (ScoreSanitizedPrepared is bit-identical to the
-      // recompute-per-window path on the same packets).
+      // recompute-per-window path on the same packets). The medians are
+      // taken in batches at decision time (FlushMuMedians).
       MeasureMultipathFactorsInto(slot, detector.band(), mu_ring[write_pos],
                                   scratch->multipath);
-      mu_median_ring[write_pos] =
-          dsp::Median(mu_ring[write_pos], scratch->median_scratch);
+      if (mu_median_pending < config.window_packets) ++mu_median_pending;
+      if (!power_ring.empty()) {
+        Detector::PowerRowInto(slot,
+                               power_ring.data() + write_pos * power_stride);
+      }
       if (!soa_slabs.empty()) {
         // Split the sanitized slot into the slot's slab (antenna-major re
         // rows then im rows — exactly kernels::Deinterleave's bytes), so
@@ -190,8 +213,13 @@ struct SensingEngine::LinkState {
     // so the window vector is only assembled for degraded windows or when
     // the calibrator needs packets to learn from.
     const bool slab_fast = !soa_slabs.empty() && live_mask == full_mask;
+    // Subcarrier/variance fast path: full-mask windows fold the
+    // ingest-cached power rows, so the window vector is likewise only
+    // assembled for degraded windows or for the calibrator.
+    const bool rows_fast = !power_ring.empty() && live_mask == full_mask;
     const bool need_window =
-        (!baseline_fast && !slab_fast) || calibrator.enabled();
+        (!baseline_fast && !slab_fast && !rows_fast) || calibrator.enabled();
+    if (pre_sanitize) FlushMuMedians();
     if (need_window) {
       // mulink-lint: allow(alloc): capacity reserved in ctor; resize never reallocates
       window.resize(config.window_packets);
@@ -204,6 +232,9 @@ struct SensingEngine::LinkState {
         median_window[i] = mu_median_ring[slot_idx];
         if (slab_fast) {
           soa_window[i] = soa_slabs.data() + slot_idx * soa_stride;
+        }
+        if (rows_fast) {
+          power_window[i] = power_ring.data() + slot_idx * power_stride;
         }
       } else if (baseline_fast) {
         baseline_window[i] = baseline_ring[slot_idx];
@@ -239,6 +270,9 @@ struct SensingEngine::LinkState {
         factors.medians = std::span<const double>(median_window);
         if (slab_fast) {
           factors.csi_slabs = std::span<const double* const>(soa_window);
+        }
+        if (rows_fast) {
+          factors.power_rows = std::span<const double* const>(power_window);
         }
         decision.score =
             detector.ScoreSanitizedPrepared(window_span, factors, *scratch);
@@ -294,6 +328,30 @@ struct SensingEngine::LinkState {
     return decision;
   }
 
+  // Cross-subcarrier medians of the mu rows ingested since the last flush
+  // (at most one window's worth), batched through MuRowMediansInto — the
+  // same medians the unprepared path takes per window. A hop of 1 runs
+  // exactly one row.
+  void FlushMuMedians() {
+    const std::size_t window_packets = config.window_packets;
+    const std::size_t pending = mu_median_pending;
+    for (std::size_t j = 0; j < pending; ++j) {
+      const std::size_t slot =
+          (write_pos + window_packets - pending + j) % window_packets;
+      pending_rows[j] = mu_ring[slot].data();
+    }
+    MuRowMediansInto(std::span<const double* const>(pending_rows.data(),
+                                                    pending),
+                     det().num_subcarriers(), pending_medians.data(),
+                     mu_median_scratch);
+    for (std::size_t j = 0; j < pending; ++j) {
+      const std::size_t slot =
+          (write_pos + window_packets - pending + j) % window_packets;
+      mu_median_ring[slot] = pending_medians[j];
+    }
+    mu_median_pending = 0;
+  }
+
   // True when every cached baseline distance in the (full) ring was
   // computed against the detector's current amplitude profile. A ladder
   // swap (ApplyProfile/UpdateProfile) bumps the epoch, which falls back to
@@ -309,6 +367,7 @@ struct SensingEngine::LinkState {
     write_pos = 0;
     count = 0;
     packets_since_decision = 0;
+    mu_median_pending = 0;
     occupied = false;
     posterior = 0.0;
     if (filter.has_value()) filter->Reset();
@@ -344,6 +403,12 @@ struct SensingEngine::LinkState {
   std::vector<double> mu_median_ring;
   std::vector<const double*> mu_window;
   std::vector<double> median_window;
+  // Newest ring slots whose mu median is not yet taken (<= window), and
+  // FlushMuMedians' oldest-first views of them.
+  std::size_t mu_median_pending = 0;
+  std::vector<const double*> pending_rows;
+  std::vector<double> pending_medians;
+  MuMedianScratch mu_median_scratch;
   // Ingest-time split-complex slabs riding the ring (combined-scheme links
   // only): the slab at soa_slabs[slot * soa_stride] holds ring[slot]'s CSI
   // deinterleaved antenna-major (re rows then im rows), and soa_window is
@@ -353,6 +418,12 @@ struct SensingEngine::LinkState {
   std::vector<double> soa_slabs;
   std::size_t soa_stride = 0;
   std::vector<const double*> soa_window;
+  // Ingest-time power rows riding the ring (subcarrier and variance links
+  // only): power_ring[slot * power_stride] is ring[slot]'s
+  // Detector::PowerRowInto row; power_window is the window-ordered view.
+  std::vector<double> power_ring;
+  std::size_t power_stride = 0;
+  std::vector<const double*> power_window;
   // Ingest-time baseline distances riding the ring (baseline links only),
   // stamped with the profile epoch they were computed under.
   std::vector<double> baseline_ring;

@@ -1,10 +1,10 @@
 #include "core/subcarrier_weighting.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.h"
 #include "core/multipath_factor.h"
-#include "dsp/stats.h"
 #include "kernels/kernels.h"
 
 namespace mulink::core {
@@ -26,10 +26,56 @@ const char* ToString(WeightingMode mode) {
 SubcarrierWeights ComputeSubcarrierWeights(
     const std::vector<std::vector<double>>& mu_per_packet,
     WeightingMode mode) {
+  MULINK_REQUIRE(!mu_per_packet.empty(),
+                 "ComputeSubcarrierWeights: need >= 1 packet");
+  const std::size_t num_sc = mu_per_packet[0].size();
+  MULINK_REQUIRE(num_sc >= 1, "ComputeSubcarrierWeights: empty mu vector");
+  std::vector<const double*> rows;
+  for (const auto& row : mu_per_packet) {
+    MULINK_REQUIRE(row.size() == num_sc,
+                   "ComputeSubcarrierWeights: ragged mu matrix");
+    // mulink-lint: allow(alloc): allocating convenience API; the Into variants are allocation-free
+    rows.push_back(row.data());
+  }
+  std::vector<double> medians(rows.size());
+  MuMedianScratch median_scratch;
+  MuRowMediansInto(rows, num_sc, medians.data(), median_scratch);
   SubcarrierWeights w;
-  std::vector<double> median_scratch;
-  ComputeSubcarrierWeightsInto(mu_per_packet, mode, w, median_scratch);
+  ComputeSubcarrierWeightsInto(rows, medians, num_sc, mode, w);
   return w;
+}
+
+namespace {
+constexpr std::size_t kMedianLanes = 4;
+}  // namespace
+
+void MuMedianScratch::Shape(std::size_t num_sc) {
+  if (lane_rows.size() == num_sc) return;
+  // mulink-lint: allow(alloc): warm scratch; sized once per shape
+  lanes.resize(num_sc * kMedianLanes);
+  // mulink-lint: allow(alloc): warm scratch; sized once per shape
+  lane_rows.resize(num_sc);
+  // mulink-lint: allow(alloc): warm scratch; sized once per shape
+  select.resize(num_sc);
+  for (std::size_t k = 0; k < num_sc; ++k) {
+    lane_rows[k] = lanes.data() + k * kMedianLanes;
+  }
+}
+
+void MuRowMediansInto(std::span<const double* const> rows, std::size_t num_sc,
+                      double* medians, MuMedianScratch& scratch) {
+  scratch.Shape(num_sc);
+  for (std::size_t first = 0; first < rows.size(); first += kMedianLanes) {
+    const std::size_t lanes = std::min(kMedianLanes, rows.size() - first);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const double* const mu = rows[first + j];
+      for (std::size_t k = 0; k < num_sc; ++k) {
+        scratch.lanes[k * kMedianLanes + j] = mu[k];
+      }
+    }
+    kernels::ColumnMedians(scratch.lane_rows.data(), num_sc, lanes,
+                           medians + first, scratch.select.data());
+  }
 }
 
 namespace {
@@ -95,33 +141,6 @@ void FinishSubcarrierWeights(std::size_t num_packets, WeightingMode mode,
 
 }  // namespace
 
-void ComputeSubcarrierWeightsInto(
-    const std::vector<std::vector<double>>& mu_per_packet, WeightingMode mode,
-    SubcarrierWeights& out, std::vector<double>& median_scratch) {
-  MULINK_REQUIRE(!mu_per_packet.empty(),
-                 "ComputeSubcarrierWeights: need >= 1 packet");
-  const std::size_t num_packets = mu_per_packet.size();
-  const std::size_t num_sc = mu_per_packet[0].size();
-  MULINK_REQUIRE(num_sc >= 1, "ComputeSubcarrierWeights: empty mu vector");
-  for (const auto& row : mu_per_packet) {
-    MULINK_REQUIRE(row.size() == num_sc,
-                   "ComputeSubcarrierWeights: ragged mu matrix");
-  }
-
-  // mulink-lint: allow(alloc): warm output; assign reuses capacity
-  out.mean_mu.assign(num_sc, 0.0);
-  // mulink-lint: allow(alloc): warm output; assign reuses capacity
-  out.stability.assign(num_sc, 0.0);
-
-  for (std::size_t m = 0; m < num_packets; ++m) {
-    const double median = dsp::Median(mu_per_packet[m], median_scratch);
-    // mean_mu[k] += mu; stability[k] += (mu > median) — delta_m of Eq. 14.
-    kernels::MeanStabilityAccumulate(mu_per_packet[m].data(), median, num_sc,
-                                     out.mean_mu.data(), out.stability.data());
-  }
-  FinishSubcarrierWeights(num_packets, mode, out);
-}
-
 void ComputeSubcarrierWeightsInto(std::span<const double* const> mu_rows,
                                   std::span<const double> medians,
                                   std::size_t num_sc, WeightingMode mode,
@@ -138,6 +157,7 @@ void ComputeSubcarrierWeightsInto(std::span<const double* const> mu_rows,
   out.stability.assign(num_sc, 0.0);
 
   for (std::size_t m = 0; m < mu_rows.size(); ++m) {
+    // mean_mu[k] += mu; stability[k] += (mu > median) — delta_m of Eq. 14.
     kernels::MeanStabilityAccumulate(mu_rows[m], medians[m], num_sc,
                                      out.mean_mu.data(), out.stability.data());
   }

@@ -40,17 +40,27 @@ SubcarrierWeights ComputeSubcarrierWeights(
     const std::vector<std::vector<double>>& mu_per_packet,
     WeightingMode mode = WeightingMode::kMeanMuTimesStability);
 
-// Scratch variant: reuses `out`'s vectors and `median_scratch` so the
-// monitoring loop computes weights without heap traffic.
-void ComputeSubcarrierWeightsInto(
-    const std::vector<std::vector<double>>& mu_per_packet, WeightingMode mode,
-    SubcarrierWeights& out, std::vector<double>& median_scratch);
+// Lane-gathered workspace of MuRowMediansInto, shaped for num_sc
+// subcarriers on first use (or ahead of time by Shape).
+struct MuMedianScratch {
+  std::vector<double> lanes;             // lanes[k * 4 + j] = row j's mu_k
+  std::vector<const double*> lane_rows;  // lane_rows[k] = &lanes[k * 4]
+  std::vector<double> select;            // past-the-network fallback
 
-// Prepared-factors variant: each window packet's mu row (`mu_rows[m]`, a
-// pointer to `num_sc` doubles) and its cross-subcarrier median were computed
-// once at ingest, so overlapping windows skip re-deriving them per decision.
-// Bit-identical to the scratch variant fed the same rows, because it runs
-// the same accumulation in the same order.
+  void Shape(std::size_t num_sc);
+};
+
+// Eq. 14's per-packet reference: medians[r] = the cross-subcarrier median of
+// rows[r][0 .. num_sc), 4 rows per kernels::ColumnMedians call with lane ==
+// row. Equal to dsp::Median of each row on NaN-free input.
+void MuRowMediansInto(std::span<const double* const> rows, std::size_t num_sc,
+                      double* medians, MuMedianScratch& scratch);
+
+// Scratch variant: each window packet's mu row (`mu_rows[m]`, a pointer to
+// `num_sc` doubles) and its cross-subcarrier median (MuRowMediansInto), in
+// window order; reuses `out`'s vectors so the monitoring loop computes
+// weights without heap traffic. Ingest paths compute each row and median
+// once per packet, so overlapping windows skip re-deriving them.
 void ComputeSubcarrierWeightsInto(std::span<const double* const> mu_rows,
                                   std::span<const double> medians,
                                   std::size_t num_sc, WeightingMode mode,

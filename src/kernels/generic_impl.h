@@ -8,9 +8,14 @@
 // per-element helpers here for loop tails.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 
 #include "common/constants.h"
+#include "kernels/kernels.h"
 #include "kernels/trig_core.h"
 
 namespace mulink::kernels::detail {
@@ -108,6 +113,24 @@ inline void GenericMeanStabilityAccumulate(const double* mu_row, double median,
   }
 }
 
+inline void PowerMomentsOne(Complex z, double* sum_p, double* sum_p2,
+                            double* sum_a) {
+  const double re = z.real();
+  const double im = z.imag();
+  const double p = re * re + im * im;
+  *sum_p += p;
+  *sum_p2 += p * p;
+  *sum_a += std::sqrt(p);
+}
+
+inline void GenericPowerMomentsAccumulate(const Complex* cells, std::size_t n,
+                                          double* sum_p, double* sum_p2,
+                                          double* sum_a) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PowerMomentsOne(cells[i], sum_p + i, sum_p2 + i, sum_a + i);
+  }
+}
+
 inline void GenericMultiply(const double* a, const double* b, std::size_t n,
                             double* out) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -125,6 +148,178 @@ inline double GenericNormalizedDistanceSq(const double* a, const double* b,
     const double d = (a[t] - b[t]) / norm;
     return d * d;
   });
+}
+
+// ---- exact selection ---------------------------------------------------
+
+// Batcher's odd-even merge sort over 32 inputs has 191 comparators; every
+// network below is a subset of the one for its power of two.
+inline constexpr std::size_t kMaxNetworkComparators = 191;
+
+// One median network: compare-exchange c orders positions (lo[c], hi[c]),
+// lo[c] < hi[c], in index order.
+struct SelectionNetwork {
+  std::size_t size = 0;
+  std::array<std::uint8_t, kMaxNetworkComparators> lo{};
+  std::array<std::uint8_t, kMaxNetworkComparators> hi{};
+};
+
+// The network ColumnMedians runs for n inputs (kernels.h): Batcher's
+// odd-even merge sort for the next power of two >= n, without the
+// comparators that touch +inf padding (positions >= n) and without those
+// that cannot reach the median taps (found by walking the list backwards
+// from the taps).
+constexpr SelectionNetwork BuildSelectionNetwork(std::size_t n) {
+  std::size_t pow2 = 1;
+  while (pow2 < n) pow2 *= 2;
+  std::array<std::uint8_t, kMaxNetworkComparators> lo{};
+  std::array<std::uint8_t, kMaxNetworkComparators> hi{};
+  std::size_t count = 0;
+  for (std::size_t p = 1; p < pow2; p *= 2) {
+    for (std::size_t k = p; k >= 1; k /= 2) {
+      for (std::size_t j = k % p; j + k < pow2; j += 2 * k) {
+        for (std::size_t i = 0; i < k && i + j + k < pow2; ++i) {
+          const std::size_t a = i + j;
+          const std::size_t b = i + j + k;
+          if (a / (2 * p) == b / (2 * p) && b < n) {
+            lo[count] = static_cast<std::uint8_t>(a);
+            hi[count] = static_cast<std::uint8_t>(b);
+            ++count;
+          }
+        }
+      }
+    }
+  }
+  std::array<bool, kMaxNetworkInputs> needed{};
+  if (n > 0) {
+    needed[n / 2] = true;
+    if (n % 2 == 0) needed[n / 2 - 1] = true;
+  }
+  std::array<bool, kMaxNetworkComparators> keep{};
+  for (std::size_t c = count; c-- > 0;) {
+    if (needed[lo[c]] || needed[hi[c]]) {
+      keep[c] = true;
+      needed[lo[c]] = true;
+      needed[hi[c]] = true;
+    }
+  }
+  SelectionNetwork net;
+  for (std::size_t c = 0; c < count; ++c) {
+    if (!keep[c]) continue;
+    net.lo[net.size] = lo[c];
+    net.hi[net.size] = hi[c];
+    ++net.size;
+  }
+  return net;
+}
+
+inline constexpr std::array<SelectionNetwork, kMaxNetworkInputs + 1>
+    kSelectionNetworks = [] {
+      std::array<SelectionNetwork, kMaxNetworkInputs + 1> nets{};
+      for (std::size_t n = 1; n <= kMaxNetworkInputs; ++n) {
+        nets[n] = BuildSelectionNetwork(n);
+      }
+      return nets;
+    }();
+
+// The network for n = N, unrolled: every comparator index is a compile-time
+// constant, so the values stay in registers instead of round-tripping
+// through memory between dependent compare-exchanges. `Lanes` supplies the
+// value type and its Load/Min/Max/Mid — a double in the scalar backend, a
+// 4-column vector in the AVX2 one — with Min(x, y) = x < y ? x : y and
+// Max(x, y) = x > y ? x : y.
+template <class Lanes, std::size_t N, std::size_t C>
+inline void CompareExchangeAt(typename Lanes::Value* v) {
+  constexpr std::size_t i = kSelectionNetworks[N].lo[C];
+  constexpr std::size_t j = kSelectionNetworks[N].hi[C];
+  const typename Lanes::Value x = v[i];
+  const typename Lanes::Value y = v[j];
+  v[i] = Lanes::Min(x, y);
+  v[j] = Lanes::Max(x, y);
+}
+
+template <class Lanes, std::size_t N, std::size_t... C>
+inline void RunSelectionNetwork([[maybe_unused]] typename Lanes::Value* v,
+                                std::index_sequence<C...>) {
+  (CompareExchangeAt<Lanes, N, C>(v), ...);
+}
+
+// Median of column `col` (or of the lane group starting there) over N rows;
+// with kDeviation, of |rows[i][col] - center[col]| instead.
+template <class Lanes, std::size_t N, bool kDeviation>
+inline typename Lanes::Value NetworkMedian(const double* const* rows,
+                                           std::size_t col,
+                                           const double* center) {
+  typename Lanes::Value v[N];
+  if constexpr (kDeviation) {
+    const typename Lanes::Value mid = Lanes::Load(center + col);
+    for (std::size_t i = 0; i < N; ++i) {
+      v[i] = Lanes::AbsDiff(Lanes::Load(rows[i] + col), mid);
+    }
+  } else {
+    for (std::size_t i = 0; i < N; ++i) v[i] = Lanes::Load(rows[i] + col);
+  }
+  RunSelectionNetwork<Lanes, N>(
+      v, std::make_index_sequence<kSelectionNetworks[N].size>{});
+  if constexpr (N % 2 == 1) {
+    return v[N / 2];
+  } else {
+    return Lanes::Mid(v[N / 2 - 1], v[N / 2]);
+  }
+}
+
+// One column per value: the scalar reference. AbsDiff is
+// dsp::MedianAbsDeviation's std::abs(x - median).
+struct ScalarLanes {
+  using Value = double;
+  static double Load(const double* p) { return *p; }
+  static double AbsDiff(double x, double center) {
+    return std::abs(x - center);
+  }
+  static double Min(double x, double y) { return x < y ? x : y; }
+  static double Max(double x, double y) { return x > y ? x : y; }
+  static double Mid(double lo, double hi) { return 0.5 * (lo + hi); }
+};
+
+template <std::size_t N, bool kDeviation>
+void ScalarColumnMediansN(const double* const* rows, std::size_t cols,
+                          const double* center, double* out) {
+  for (std::size_t c = 0; c < cols; ++c) {
+    out[c] = NetworkMedian<ScalarLanes, N, kDeviation>(rows, c, center);
+  }
+}
+
+// A backend's column-median loop for one n: plain medians when center is
+// null, else medians of |x - center|.
+using ColumnMediansFn = void (*)(const double* const* rows, std::size_t cols,
+                                 const double* center, double* out);
+
+// Per-n entry points, indexed by n (entry 0 is unused: ColumnMedians
+// requires n >= 1).
+template <template <std::size_t> class Fn, std::size_t... N>
+constexpr std::array<ColumnMediansFn, sizeof...(N) + 1> ColumnMediansTable(
+    std::index_sequence<N...>) {
+  return {nullptr, &Fn<N + 1>::Run...};
+}
+
+template <std::size_t N>
+struct ScalarColumnMedians {
+  static void Run(const double* const* rows, std::size_t cols,
+                  const double* center, double* out) {
+    if (center == nullptr) {
+      ScalarColumnMediansN<N, false>(rows, cols, center, out);
+    } else {
+      ScalarColumnMediansN<N, true>(rows, cols, center, out);
+    }
+  }
+};
+
+inline void GenericColumnMedians(const double* const* rows, std::size_t n,
+                                 std::size_t cols, const double* center,
+                                 double* out) {
+  static constexpr auto kTable = ColumnMediansTable<ScalarColumnMedians>(
+      std::make_index_sequence<kMaxNetworkInputs>{});
+  kTable[n](rows, cols, center, out);
 }
 
 inline void GenericWeightedCovariance(const double* re, const double* im,

@@ -1,8 +1,11 @@
 #include "kernels/kernels.h"
 
 #include <atomic>
+#include <cmath>
+#include <span>
 
 #include "common/assert.h"
+#include "dsp/stats.h"
 #include "kernels/table.h"
 
 namespace mulink::kernels {
@@ -114,6 +117,11 @@ void MeanStabilityAccumulate(const double* mu_row, double median,
   Active().mean_stability_accumulate(mu_row, median, n, mean_mu, stability);
 }
 
+void PowerMomentsAccumulate(const Complex* cells, std::size_t n,
+                            double* sum_p, double* sum_p2, double* sum_a) {
+  Active().power_moments_accumulate(cells, n, sum_p, sum_p2, sum_a);
+}
+
 void Multiply(const double* a, const double* b, std::size_t n, double* out) {
   Active().multiply(a, b, n, out);
 }
@@ -125,6 +133,41 @@ double SumSquares(const double* a, std::size_t n) {
 double NormalizedDistanceSq(const double* a, const double* b, double norm,
                             std::size_t n) {
   return Active().normalized_distance_sq(a, b, norm, n);
+}
+
+namespace {
+
+// Medians of the columns, or of |x - center| when center is set. Past the
+// network each column goes through the selection the unbatched dsp path
+// uses, so long windows stay bit-identical to dsp::Median /
+// MedianAbsDeviation.
+void SelectColumns(const double* const* rows, std::size_t n, std::size_t cols,
+                   const double* center, double* out, double* scratch) {
+  MULINK_REQUIRE(n >= 1, "ColumnMedians: need >= 1 row");
+  if (n <= kMaxNetworkInputs) {
+    Active().column_medians(rows, n, cols, center, out);
+    return;
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch[i] =
+          center == nullptr ? rows[i][c] : std::abs(rows[i][c] - center[c]);
+    }
+    out[c] = dsp::MedianInPlace(std::span<double>(scratch, n));
+  }
+}
+
+}  // namespace
+
+void ColumnMedians(const double* const* rows, std::size_t n, std::size_t cols,
+                   double* out, double* scratch) {
+  SelectColumns(rows, n, cols, nullptr, out, scratch);
+}
+
+void ColumnMedianDeviations(const double* const* rows, std::size_t n,
+                            std::size_t cols, const double* center,
+                            double* out, double* scratch) {
+  SelectColumns(rows, n, cols, center, out, scratch);
 }
 
 void WeightedCovariance(const double* re, const double* im,

@@ -12,6 +12,9 @@
 // element. Reductions are defined with a fixed 4-way striped accumulation
 // (acc[t % 4], combined as (l0+l2)+(l1+l3)); the scalar backend implements
 // exactly that striping, so reassociation never diverges between backends.
+// ColumnMedians is exact selection: a fixed compare-exchange network made
+// only of min/max, evaluated in the same order with the same operand
+// semantics by every backend.
 // The trig kernels (Atan2/SinCos) share one polynomial definition across
 // backends — they agree with libm to ~1e-13 but are NOT bit-identical to it;
 // call sites that switched from libm re-baselined (tolerance policy in
@@ -85,6 +88,13 @@ MULINK_HOT void MeanStabilityAccumulate(const double* mu_row, double median,
                              std::size_t n, double* mean_mu,
                              double* stability);
 
+// Per-cell window moments of one packet's cells, accumulated:
+// p = re^2 + im^2 (std::norm's expression); sum_p[i] += p;
+// sum_p2[i] += p * p; sum_a[i] += sqrt(p).
+MULINK_HOT void PowerMomentsAccumulate(const Complex* cells, std::size_t n,
+                                       double* sum_p, double* sum_p2,
+                                       double* sum_a);
+
 // out[i] = a[i] * b[i] (path-weight application).
 MULINK_HOT void Multiply(const double* a, const double* b, std::size_t n, double* out);
 
@@ -95,6 +105,39 @@ MULINK_HOT double SumSquares(const double* a, std::size_t n);
 // profile-normalized spectrum distance).
 MULINK_HOT double NormalizedDistanceSq(const double* a, const double* b, double norm,
                             std::size_t n);
+
+// ---- exact selection ---------------------------------------------------
+
+// Largest input count ColumnMedians evaluates with its selection network;
+// beyond it every column goes through dsp::MedianInPlace.
+inline constexpr std::size_t kMaxNetworkInputs = 32;
+
+// out[c] = median(rows[0][c], ..., rows[n-1][c]) for c < cols, n >= 1.
+// For n <= kMaxNetworkInputs each column runs Batcher's odd-even merge
+// network for the next power of two >= n. The inputs are logically padded
+// with +inf; a compare-exchange (i < j) always leaves its max in j, so the
+// padding never moves and every comparator touching it is dropped, as is
+// every comparator that cannot reach the median taps. A compare-exchange
+// writes lo = (x < y ? x : y) and hi = (x > y ? x : y), exactly
+// minpd/maxpd(x, y): when the pair is unordered (a NaN) or equal (±0) both
+// outputs take y. The median is the middle tap, or 0.5 * (lower + upper)
+// for even n — so on NaN-free input it equals dsp::Median (as a value;
+// the sign of a zero result may differ). NaN inputs give a result that is
+// identical across backends but otherwise unspecified. The AVX2 backend
+// runs 4 columns per vector, with an overlapping last group when cols is
+// not a multiple of 4. `scratch` (>= n doubles) is touched only by the
+// n > kMaxNetworkInputs fallback.
+MULINK_HOT void ColumnMedians(const double* const* rows, std::size_t n,
+                              std::size_t cols, double* out, double* scratch);
+
+// out[c] = median over i of |rows[i][c] - center[c]|: ColumnMedians over
+// the deviations std::abs(x - center) that dsp::MedianAbsDeviation selects
+// from, formed as the network loads its inputs. With center = the column
+// medians this is the median absolute deviation of each column.
+MULINK_HOT void ColumnMedianDeviations(const double* const* rows,
+                                       std::size_t n, std::size_t cols,
+                                       const double* center, double* out,
+                                       double* scratch);
 
 // ---- covariance --------------------------------------------------------
 

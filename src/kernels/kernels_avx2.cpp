@@ -271,6 +271,27 @@ void Avx2MeanStabilityAccumulate(const double* mu_row, double median,
   }
 }
 
+// Lane == cell; vsqrtpd is correctly rounded like the scalar sqrt.
+void Avx2PowerMomentsAccumulate(const Complex* cells, std::size_t n,
+                                double* sum_p, double* sum_p2, double* sum_a) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d re;
+    __m256d im;
+    LoadComplex4(cells + i, &re, &im);
+    const __m256d p =
+        _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im));
+    _mm256_storeu_pd(sum_p + i, _mm256_add_pd(_mm256_loadu_pd(sum_p + i), p));
+    _mm256_storeu_pd(sum_p2 + i, _mm256_add_pd(_mm256_loadu_pd(sum_p2 + i),
+                                               _mm256_mul_pd(p, p)));
+    _mm256_storeu_pd(sum_a + i, _mm256_add_pd(_mm256_loadu_pd(sum_a + i),
+                                              _mm256_sqrt_pd(p)));
+  }
+  for (; i < n; ++i) {
+    PowerMomentsOne(cells[i], sum_p + i, sum_p2 + i, sum_a + i);
+  }
+}
+
 void Avx2Multiply(const double* a, const double* b, std::size_t n,
                   double* out) {
   std::size_t i = 0;
@@ -310,6 +331,58 @@ double Avx2NormalizedDistanceSq(const double* a, const double* b, double norm,
 }
 
 // ---- covariance ---------------------------------------------------------
+
+// ---- exact selection ---------------------------------------------------
+
+// Lane == column: the scalar network with _mm256_min_pd/_mm256_max_pd(x, y),
+// whose per-lane results are exactly x < y ? x : y and x > y ? x : y.
+struct Avx2Lanes {
+  using Value = __m256d;
+  static __m256d Load(const double* p) { return _mm256_loadu_pd(p); }
+  static __m256d AbsDiff(__m256d x, __m256d center) {
+    return Abs(_mm256_sub_pd(x, center));
+  }
+  static __m256d Min(__m256d x, __m256d y) { return _mm256_min_pd(x, y); }
+  static __m256d Max(__m256d x, __m256d y) { return _mm256_max_pd(x, y); }
+  static __m256d Mid(__m256d lo, __m256d hi) {
+    return _mm256_mul_pd(_mm256_set1_pd(0.5), _mm256_add_pd(lo, hi));
+  }
+};
+
+template <std::size_t N, bool kDeviation>
+void Avx2ColumnMediansN(const double* const* rows, std::size_t cols,
+                        const double* center, double* out) {
+  if (cols < 4) {
+    ScalarColumnMediansN<N, kDeviation>(rows, cols, center, out);
+    return;
+  }
+  for (std::size_t group = 0; group < cols; group += 4) {
+    // The last group overlaps its predecessor when cols % 4 != 0; the
+    // shared columns are recomputed to the same bits.
+    const std::size_t c = group + 4 <= cols ? group : cols - 4;
+    _mm256_storeu_pd(out + c,
+                     NetworkMedian<Avx2Lanes, N, kDeviation>(rows, c, center));
+  }
+}
+
+template <std::size_t N>
+struct Avx2ColumnMediansEntry {
+  static void Run(const double* const* rows, std::size_t cols,
+                  const double* center, double* out) {
+    if (center == nullptr) {
+      Avx2ColumnMediansN<N, false>(rows, cols, center, out);
+    } else {
+      Avx2ColumnMediansN<N, true>(rows, cols, center, out);
+    }
+  }
+};
+
+void Avx2ColumnMedians(const double* const* rows, std::size_t n,
+                       std::size_t cols, const double* center, double* out) {
+  static constexpr auto kTable = ColumnMediansTable<Avx2ColumnMediansEntry>(
+      std::make_index_sequence<kMaxNetworkInputs>{});
+  kTable[n](rows, cols, center, out);
+}
 
 double Avx2WeightedDiag(const double* xr, const double* xi, const double* w,
                         std::size_t n) {
@@ -474,9 +547,11 @@ const KernelTable& Avx2Table() {
       &Avx2RotateRows,
       &Avx2MuAccumulateRow,
       &Avx2MeanStabilityAccumulate,
+      &Avx2PowerMomentsAccumulate,
       &Avx2Multiply,
       &Avx2SumSquares,
       &Avx2NormalizedDistanceSq,
+      &Avx2ColumnMedians,
       &Avx2WeightedCovariance,
       &Avx2BartlettScan,
       &Avx2MusicScan,

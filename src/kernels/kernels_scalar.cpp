@@ -14,9 +14,11 @@ const KernelTable& ScalarTable() {
       &GenericRotateRows,
       &GenericMuAccumulateRow,
       &GenericMeanStabilityAccumulate,
+      &GenericPowerMomentsAccumulate,
       &GenericMultiply,
       &GenericSumSquares,
       &GenericNormalizedDistanceSq,
+      &GenericColumnMedians,
       &GenericWeightedCovariance,
       &GenericBartlettScan,
       &GenericMusicScan,

@@ -22,11 +22,18 @@ struct KernelTable {
   void (*mean_stability_accumulate)(const double* mu_row, double median,
                                     std::size_t n, double* mean_mu,
                                     double* stability);
+  void (*power_moments_accumulate)(const Complex* cells, std::size_t n,
+                                   double* sum_p, double* sum_p2,
+                                   double* sum_a);
   void (*multiply)(const double* a, const double* b, std::size_t n,
                    double* out);
   double (*sum_squares)(const double* a, std::size_t n);
   double (*normalized_distance_sq)(const double* a, const double* b,
                                    double norm, std::size_t n);
+  // n <= kMaxNetworkInputs; the fallback lives in the dispatcher. A null
+  // center selects plain medians, else medians of |x - center|.
+  void (*column_medians)(const double* const* rows, std::size_t n,
+                         std::size_t cols, const double* center, double* out);
   void (*weighted_covariance)(const double* re, const double* im,
                               std::size_t antennas, std::size_t n,
                               const double* w_rep, Complex* out);

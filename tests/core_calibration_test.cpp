@@ -7,6 +7,7 @@
 // active under long-horizon drift faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -18,6 +19,7 @@
 #include "core/engine.h"
 #include "core/streaming.h"
 #include "experiments/scenario.h"
+#include "kernels/kernels.h"
 #include "nic/fault_injection.h"
 #include "nic/frame_guard.h"
 
@@ -209,6 +211,54 @@ TEST(ProfilePosterior, ObserveConvergesOnWindowStatsAndResetRestores) {
   EXPECT_DOUBLE_EQ(posterior.MeanPower(1, 7),
                    detector.profile_power()[1][7]);
   EXPECT_DOUBLE_EQ(posterior.MeanVariance(1, 7), 0.0);
+}
+
+// One Observe must fold exactly the per-cell window moments — every cell
+// summing its packets in window order — under every kernel backend.
+TEST(ProfilePosterior, ObserveIsBitExactPerCellWindowMoments) {
+  auto& f = Fixture();
+  const auto detector =
+      f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
+  const std::span<const wifi::CsiPacket> window(f.empty_session.data(),
+                                                kWindow);
+  const std::size_t antennas = detector.num_antennas();
+  const std::size_t subcarriers = detector.num_subcarriers();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::BackendAvailable(kernels::Backend::kAvx2)) {
+    backends.push_back(kernels::Backend::kAvx2);
+  }
+  for (const auto backend : backends) {
+    kernels::SetBackend(backend);
+    core::ProfilePosterior posterior;
+    posterior.Configure(antennas, subcarriers);
+    posterior.SeedFrom(detector);
+    posterior.Observe(window, 0.9);
+    const double inv_n = 1.0 / static_cast<double>(window.size());
+    const double inv_w = 1.0 / (0.9 * 1.0 + 1.0);
+    const auto& prior = detector.profile_power();
+    for (std::size_t m = 0; m < antennas; ++m) {
+      for (std::size_t k = 0; k < subcarriers; ++k) {
+        double sum_p = 0.0, sum_p2 = 0.0, sum_a = 0.0;
+        for (const auto& packet : window) {
+          const double p = packet.SubcarrierPower(m, k);
+          sum_p += p;
+          sum_p2 += p * p;
+          sum_a += std::sqrt(p);
+        }
+        const double mean_p = sum_p * inv_n;
+        const double mean_a = sum_a * inv_n;
+        const double var = std::max(sum_p2 * inv_n - mean_p * mean_p, 0.0);
+        const double seed_a = std::sqrt(std::max(prior[m][k], 0.0));
+        EXPECT_EQ(posterior.MeanPower(m, k),
+                  prior[m][k] + (mean_p - prior[m][k]) * inv_w);
+        EXPECT_EQ(posterior.MeanAmplitude(m, k),
+                  seed_a + (mean_a - seed_a) * inv_w);
+        EXPECT_EQ(posterior.MeanVariance(m, k), 0.0 + (var - 0.0) * inv_w)
+            << kernels::ToString(backend) << " cell " << m << "," << k;
+      }
+    }
+  }
+  kernels::ResetBackend();
 }
 
 // ------------------------------------------------------------- ladder --

@@ -4,18 +4,24 @@
 // pure hot-path restructuring, not a numerical change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/detector.h"
 #include "core/engine.h"
+#include "core/multipath_factor.h"
 #include "core/music.h"
+#include "core/sanitize.h"
 #include "core/streaming.h"
+#include "core/subcarrier_weighting.h"
+#include "dsp/stats.h"
 #include "experiments/scenario.h"
 #include "obs/metrics.h"
 
@@ -610,6 +616,186 @@ TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
     EXPECT_EQ(push_decisions[i].score, engine_decisions[i].score);
     EXPECT_EQ(push_decisions[i].posterior, engine_decisions[i].posterior);
     EXPECT_EQ(push_decisions[i].occupied, engine_decisions[i].occupied);
+  }
+}
+
+// Subcarrier and variance links fold their window statistic from
+// ingest-cached power rows through the selection kernel and take the mu
+// medians in batches at decision time; StreamingDetector re-derives both
+// from the window packets every hop. The two must agree bit for bit across
+// even and odd windows, windows past the network limit (the dsp fallback),
+// short and full hops, guard plus adaptive calibration, and a dead-chain
+// (degraded) stretch. With the calibrator off, full-mask windows score
+// from the cached rows alone (no window copy).
+TEST(EngineEquivalence, PowerRowSchemesMatchStreamingPush) {
+  auto& f = Fixture();
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults.enabled = true;
+  sim_config.faults.seed = 29;
+  sim_config.faults.drop_prob = 0.03;
+  sim_config.faults.corrupt_prob = 0.01;
+  sim_config.faults.agc_jump_prob = 0.005;
+  sim_config.faults.dead_antenna = 1;
+  sim_config.faults.dead_from_packet = 220;
+  auto faulty = ex::MakeSimulator(f.link, sim_config);
+  Rng rng(909);
+  auto session = faulty.CaptureSession(160, std::nullopt, rng);
+  propagation::HumanBody body;
+  body.position = {3.0, 4.2};
+  const auto occupied = faulty.CaptureSession(160, body, rng);
+  session.insert(session.end(), occupied.begin(), occupied.end());
+
+  for (auto scheme : {core::DetectionScheme::kSubcarrierWeighting,
+                      core::DetectionScheme::kVarianceMobile}) {
+    auto calibrated = f.Calibrated(scheme);
+    const auto empty_scores = EmptyScores(f, calibrated);
+    calibrated.SetThreshold(1.0);
+    for (const std::size_t window : {std::size_t{24}, std::size_t{25},
+                                     std::size_t{40}}) {
+      for (const std::size_t hop : {std::size_t{1}, std::size_t{10},
+                                    std::size_t{25}}) {
+        for (const bool adaptive : {true, false}) {
+          core::StreamingConfig config;
+          config.window_packets = window;
+          config.hop_packets = std::min(hop, window);
+          config.use_hmm = true;
+          config.guard_enabled = true;
+          config.calibration.enabled = adaptive;
+
+          core::StreamingDetector streaming(calibrated, empty_scores, config);
+          core::SensingEngine engine;
+          engine.AddLink(calibrated, empty_scores, config);
+
+          std::vector<core::PresenceDecision> pushed;
+          for (const auto& packet : session) {
+            if (auto d = streaming.Push(packet)) pushed.push_back(*d);
+          }
+          std::vector<core::PresenceDecision> batched;
+          const std::span<const wifi::CsiPacket> all(session);
+          const std::size_t cuts[] = {7, 40, 1, 25, 60, 3};
+          std::size_t pos = 0, cut = 0;
+          while (pos < all.size()) {
+            const std::size_t n = std::min(cuts[cut % 6], all.size() - pos);
+            const auto& result = engine.ProcessBatch(all.subspan(pos, n));
+            batched.insert(batched.end(), result.decisions.begin(),
+                           result.decisions.end());
+            pos += n;
+            ++cut;
+          }
+
+          const std::string where =
+              std::string(core::ToString(scheme)) +
+              " window=" + std::to_string(window) +
+              " hop=" + std::to_string(config.hop_packets) +
+              " adaptive=" + std::to_string(adaptive);
+          ASSERT_EQ(pushed.size(), batched.size()) << where;
+          bool any_degraded = false;
+          for (std::size_t i = 0; i < pushed.size(); ++i) {
+            EXPECT_EQ(pushed[i].timestamp_s, batched[i].timestamp_s) << where;
+            EXPECT_EQ(pushed[i].score, batched[i].score) << where << " #" << i;
+            EXPECT_EQ(pushed[i].posterior, batched[i].posterior) << where;
+            EXPECT_EQ(pushed[i].occupied, batched[i].occupied) << where;
+            EXPECT_EQ(pushed[i].degraded, batched[i].degraded) << where;
+            any_degraded |= pushed[i].degraded;
+          }
+          EXPECT_TRUE(any_degraded) << where << ": no dead-chain stretch";
+          EXPECT_EQ(streaming.posterior(), engine.posterior(0)) << where;
+        }
+      }
+    }
+  }
+}
+
+// The power-row fold must reproduce, bit for bit, the per-cell dsp
+// statistics the subcarrier and variance schemes are defined by —
+// dsp::Median / MedianAbsDeviation (robust aggregate) and dsp::Mean /
+// Variance (plain) over each (antenna, subcarrier) window column — for
+// even and odd windows and past the selection network's 32 inputs. The
+// reference below recomputes the profile and the score from the public
+// pieces exactly as the per-cell implementation did.
+TEST(EngineEquivalence, PowerRowFoldMatchesPerCellDspReference) {
+  auto& f = Fixture();
+  const auto& band = f.sim.band();
+  const auto calibration = core::SanitizePhase(f.calibration, band);
+  for (const bool robust : {true, false}) {
+    for (auto scheme : {core::DetectionScheme::kSubcarrierWeighting,
+                        core::DetectionScheme::kVarianceMobile}) {
+      core::DetectorConfig config;
+      config.scheme = scheme;
+      config.robust_window_aggregate = robust;
+      const auto detector = core::Detector::Calibrate(
+          f.calibration, band, f.sim.array(), config);
+      const auto& profile = detector.profile_power();
+      const std::size_t antennas = detector.num_antennas();
+      const std::size_t subcarriers = detector.num_subcarriers();
+      double power_sum = 0.0;
+      std::vector<std::vector<double>> profile_variance(
+          antennas, std::vector<double>(subcarriers, 0.0));
+      for (std::size_t m = 0; m < antennas; ++m) {
+        for (std::size_t k = 0; k < subcarriers; ++k) {
+          power_sum += profile[m][k];
+        }
+      }
+      for (const auto& packet : calibration) {
+        for (std::size_t m = 0; m < antennas; ++m) {
+          for (std::size_t k = 0; k < subcarriers; ++k) {
+            const double diff = packet.SubcarrierPower(m, k) - profile[m][k];
+            profile_variance[m][k] += diff * diff;
+          }
+        }
+      }
+      const double inv_n = 1.0 / static_cast<double>(calibration.size());
+      const double scale =
+          power_sum / static_cast<double>(antennas * subcarriers);
+      const double uniform = 1.0 / static_cast<double>(subcarriers);
+
+      for (const std::size_t window : {std::size_t{24}, std::size_t{25},
+                                       std::size_t{40}}) {
+        for (const std::size_t start : {std::size_t{0}, std::size_t{90}}) {
+          const std::vector<wifi::CsiPacket> raw(
+              f.occupied_session.begin() + static_cast<std::ptrdiff_t>(start),
+              f.occupied_session.begin() +
+                  static_cast<std::ptrdiff_t>(start + window));
+          const auto sanitized = core::SanitizePhase(raw, band);
+          const auto weights = core::ComputeSubcarrierWeights(
+              core::MeasureMultipathFactors(sanitized, band));
+          double reference = 0.0;
+          for (std::size_t m = 0; m < antennas; ++m) {
+            double sum_sq = 0.0;
+            for (std::size_t k = 0; k < subcarriers; ++k) {
+              std::vector<double> powers;
+              for (const auto& packet : sanitized) {
+                powers.push_back(packet.SubcarrierPower(m, k));
+              }
+              double statistic;
+              if (scheme == core::DetectionScheme::kSubcarrierWeighting) {
+                const double level =
+                    robust ? dsp::Median(powers) : dsp::Mean(powers);
+                statistic = (level - profile[m][k]) / scale;
+              } else {
+                double spread = dsp::Variance(powers);
+                if (robust) {
+                  const double sigma =
+                      1.4826 * dsp::MedianAbsDeviation(powers);
+                  spread = sigma * sigma;
+                }
+                const double excess = std::max(
+                    0.0, spread - profile_variance[m][k] * inv_n);
+                statistic = std::sqrt(excess) / scale;
+              }
+              const double weighted =
+                  (weights.weights[k] / uniform) * statistic;
+              sum_sq += weighted * weighted;
+            }
+            reference += std::sqrt(sum_sq);
+          }
+          reference /= static_cast<double>(antennas);
+          EXPECT_EQ(detector.Score(raw), reference)
+              << core::ToString(scheme) << " robust=" << robust
+              << " window=" << window << " start=" << start;
+        }
+      }
+    }
   }
 }
 

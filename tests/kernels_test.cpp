@@ -14,6 +14,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -223,6 +224,16 @@ TEST_F(KernelsTest, ComplexKernelParityAcrossDetectorShapes) {
       MeanStabilityAccumulate(los.data(), median, n, mean2.data(), st2.data());
       EXPECT_TRUE(BitIdentical(mean1, mean2)) << "MeanStability mean n=" << n;
       EXPECT_TRUE(BitIdentical(st1, st2)) << "MeanStability stability n=" << n;
+
+      std::vector<double> p1(n, 0.5), q1(n, 1.5), a1(n, 2.5);
+      std::vector<double> p2(p1), q2(q1), a2(a1);
+      SetBackend(Backend::kScalar);
+      PowerMomentsAccumulate(src.data(), n, p1.data(), q1.data(), a1.data());
+      SetBackend(Backend::kAvx2);
+      PowerMomentsAccumulate(src.data(), n, p2.data(), q2.data(), a2.data());
+      EXPECT_TRUE(BitIdentical(p1, p2)) << "PowerMoments power n=" << n;
+      EXPECT_TRUE(BitIdentical(q1, q2)) << "PowerMoments power^2 n=" << n;
+      EXPECT_TRUE(BitIdentical(a1, a2)) << "PowerMoments amplitude n=" << n;
     }
   }
 }
@@ -244,6 +255,130 @@ TEST_F(KernelsTest, ReductionParityOddLengthsAndUnalignedTails) {
           NormalizedDistanceSq(a.data() + off, b.data() + off, 3.5, n);
       EXPECT_EQ(ss1, ss2) << "SumSquares n=" << n << " off=" << off;
       EXPECT_EQ(nd1, nd2) << "NormalizedDistanceSq n=" << n << " off=" << off;
+    }
+  }
+}
+
+// ---- exact selection ----------------------------------------------------
+
+// Packet-major rows of `cols` values drawn from one value class: 0 uniform,
+// 1 ties (a few small integers), 2 signed zeros among ties, 3 infinities
+// among uniforms, 4 subnormals.
+std::vector<std::vector<double>> SelectionRows(Rng& rng, std::size_t n,
+                                               std::size_t cols, int kind) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> rows(n, std::vector<double>(cols));
+  for (auto& row : rows) {
+    for (auto& x : row) {
+      const double u = rng.Uniform(0.0, 1.0);
+      switch (kind) {
+        case 0:
+          x = rng.Uniform(-5.0, 5.0);
+          break;
+        case 1:
+          x = std::floor(u * 4.0);
+          break;
+        case 2:
+          x = u < 0.3 ? -0.0 : (u < 0.6 ? 0.0 : std::floor(u * 3.0));
+          break;
+        case 3:
+          x = u < 0.1 ? inf : (u < 0.2 ? -inf : rng.Uniform(-1.0, 1.0));
+          break;
+        default:
+          x = tiny * std::floor(u * 50.0) * (u < 0.5 ? -1.0 : 1.0);
+          break;
+      }
+    }
+  }
+  return rows;
+}
+
+std::vector<const double*> RowPointers(
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<const double*> ptrs;
+  for (const auto& row : rows) ptrs.push_back(row.data());
+  return ptrs;
+}
+
+// Equal as values (±0 compare equal), or both NaN.
+bool SameValue(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+// The network must select exactly what dsp::Median / dsp::MedianAbsDeviation
+// select, on every backend, for odd and even n on both sides of the network
+// limit (n > 32 takes the dsp fallback), and for column counts that leave
+// no, a partial, and an overlapping 4-lane tail.
+TEST_F(KernelsTest, ColumnMediansMatchDspMedianAndMad) {
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (HasAvx2()) backends.push_back(Backend::kAvx2);
+  Rng rng(77);
+  for (const Backend backend : backends) {
+    SetBackend(backend);
+    for (std::size_t n = 2; n <= 40; ++n) {
+      for (const std::size_t cols : {1u, 3u, 4u, 90u}) {
+        for (int kind = 0; kind < 5; ++kind) {
+          const auto rows = SelectionRows(rng, n, cols, kind);
+          const auto ptrs = RowPointers(rows);
+          std::vector<double> med(cols), scratch(n);
+          ColumnMedians(ptrs.data(), n, cols, med.data(), scratch.data());
+          // MAD: |x - med| back through the network.
+          std::vector<double> mad(cols);
+          ColumnMedianDeviations(ptrs.data(), n, cols, med.data(), mad.data(),
+                                 scratch.data());
+          for (std::size_t c = 0; c < cols; ++c) {
+            std::vector<double> column(n);
+            for (std::size_t i = 0; i < n; ++i) column[i] = rows[i][c];
+            const double want = dsp::Median(column);
+            EXPECT_TRUE(SameValue(med[c], want))
+                << ToString(backend) << " n=" << n << " cols=" << cols
+                << " kind=" << kind << " col=" << c << ": " << med[c]
+                << " vs " << want;
+            // |x - inf| is NaN, which dsp's nth_element cannot order.
+            if (!std::isfinite(want)) continue;
+            EXPECT_TRUE(SameValue(mad[c], dsp::MedianAbsDeviation(column)))
+                << ToString(backend) << " MAD n=" << n << " cols=" << cols
+                << " kind=" << kind << " col=" << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Scalar and AVX2 must agree bit for bit, NaN inputs included.
+TEST_F(KernelsTest, ColumnMediansBitIdenticalAcrossBackendsWithNaN) {
+  if (!HasAvx2()) GTEST_SKIP() << "AVX2 backend not available";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(78);
+  for (std::size_t n = 1; n <= kMaxNetworkInputs; ++n) {
+    for (const std::size_t cols : {1u, 3u, 4u, 5u, 90u}) {
+      for (int kind = 0; kind < 5; ++kind) {
+        auto rows = SelectionRows(rng, n, cols, kind);
+        for (auto& row : rows) {
+          for (auto& x : row) {
+            if (rng.Uniform(0.0, 1.0) < 0.15) x = nan;
+          }
+        }
+        const auto ptrs = RowPointers(rows);
+        // Centers with NaN, ±0 and infinities of their own.
+        const auto center = SelectionRows(rng, 1, cols, kind).front();
+        std::vector<double> scalar(cols), avx2(cols), scalar_dev(cols),
+            avx2_dev(cols), scratch(n);
+        SetBackend(Backend::kScalar);
+        ColumnMedians(ptrs.data(), n, cols, scalar.data(), scratch.data());
+        ColumnMedianDeviations(ptrs.data(), n, cols, center.data(),
+                               scalar_dev.data(), scratch.data());
+        SetBackend(Backend::kAvx2);
+        ColumnMedians(ptrs.data(), n, cols, avx2.data(), scratch.data());
+        ColumnMedianDeviations(ptrs.data(), n, cols, center.data(),
+                               avx2_dev.data(), scratch.data());
+        EXPECT_TRUE(BitIdentical(scalar, avx2))
+            << "n=" << n << " cols=" << cols << " kind=" << kind;
+        EXPECT_TRUE(BitIdentical(scalar_dev, avx2_dev))
+            << "deviations n=" << n << " cols=" << cols << " kind=" << kind;
+      }
     }
   }
 }
