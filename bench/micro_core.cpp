@@ -45,6 +45,18 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses one) must be
+// malloc-backed too, or their release through the deletes below pairs
+// another allocator's new with std::free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 // The replacement operator new above is malloc-backed, so releasing with
 // std::free is correct; GCC's heuristic cannot see the pairing.
 #if defined(__GNUC__) && !defined(__clang__)
@@ -385,8 +397,12 @@ void WriteEngineJson(const char* path) {
 
   std::vector<EngineRow> rows;
   // Merged per-stage histograms from every metrics-on engine run; the
-  // "stages" object divides each stage's total by the decisions it served.
+  // "stages" object spreads each stage's cost over the decisions it served.
   obs::Registry stage_totals;
+  // Packets sanitized on ingest (every scheme but the baseline). That stage
+  // is timed only 1-in-kIngestSampleEvery, so its invocation count comes
+  // from here, not from its histogram.
+  double sanitized_packets = 0.0;
   // The combined scheme's histograms alone, for the per-stage roofline
   // block (merging schemes would blend unrelated score loops).
   obs::Registry combined_metrics;
@@ -455,6 +471,10 @@ void WriteEngineJson(const char* path) {
     row.engine_metrics_ns = mbatch_ns / decisions_per_pass;
     row.engine_metrics_allocs = mbatch_allocs / decisions_per_pass;
     stage_totals.MergeFrom(metrics_engine.Metrics(0));
+    if (scheme != core::DetectionScheme::kBaseline) {
+      sanitized_packets += static_cast<double>(
+          metrics_engine.Metrics(0).Get(obs::Counter::kPacketsAccepted));
+    }
     if (scheme == core::DetectionScheme::kSubcarrierAndPathWeighting) {
       combined_metrics.MergeFrom(metrics_engine.Metrics(0));
     }
@@ -491,9 +511,22 @@ void WriteEngineJson(const char* path) {
   }
   // Per-stage breakdown from the metrics-on runs. Every stage key is always
   // present (zeros when a stage did not run or obs is compiled out), so the
-  // CI schema check can rely on the shape.
+  // CI schema check can rely on the shape. A stage costs its mean latency
+  // times its invocations per decision; the sampled per-packet stages
+  // record only some invocations, so their invocation count comes from the
+  // packet counters (as in the roofline below), not from the histogram.
   const double total_decisions = static_cast<double>(
       stage_totals.Get(obs::Counter::kDecisions));
+  const auto invocations = [&](obs::Stage stage) {
+    switch (stage) {
+      case obs::Stage::kIngestSanitize:
+        return sanitized_packets;
+      case obs::Stage::kGuardClassify:
+        return 0.0;  // guard off in these runs
+      default:
+        return static_cast<double>(stage_totals.StageLatency(stage).count);
+    }
+  };
   out << "  ],\n  \"obs_enabled\": "
       << (obs::kEnabled ? "true" : "false") << ",\n  \"stages\": {\n";
   for (std::size_t s = 0; s < obs::kNumStages; ++s) {
@@ -501,7 +534,9 @@ void WriteEngineJson(const char* path) {
     const auto& h = stage_totals.StageLatency(stage);
     out << "    \"" << obs::ToString(stage) << "\": {\"count\": " << h.count
         << ", \"ns_per_decision\": "
-        << (total_decisions > 0.0 ? h.total_ns / total_decisions : 0.0)
+        << (total_decisions > 0.0
+                ? h.MeanNs() * invocations(stage) / total_decisions
+                : 0.0)
         << ", \"mean_ns\": " << h.MeanNs() << "}"
         << (s + 1 < obs::kNumStages ? "," : "") << "\n";
   }
@@ -534,11 +569,14 @@ void WriteEngineJson(const char* path) {
     };
     const RooflineRow roofline[] = {
         // Sanitize + ingest-time mu/median per packet, x hop packets per
-        // decision. Bytes: CSI in+out, split-complex lanes, mu row.
+        // decision. Bytes: CSI in+out, split-complex lanes, mu row. FLOPs:
+        // antenna sum, trig, unwrap (K), the closed-form phase fit (sum y
+        // and sum xy, 4K, plus a 2x2 solve, ~10), rotation angles (3K),
+        // the rotation, then the mu row and its median.
         {"ingest_sanitize", obs::Stage::kIngestSanitize, H,
          H * (2.0 * A * K * 16.0 + 8.0 * K * 8.0 + K * 8.0),
-         H * (2.0 * A * K + (kAtan2Flops + kSinCosFlops) * K + 18.0 * K +
-              6.0 * A * K + A * (2.0 * K + 3.0 * K) + 8.0 * K)},
+         H * (2.0 * A * K + (kAtan2Flops + kSinCosFlops) * K + 8.0 * K +
+              10.0 + 6.0 * A * K + A * (2.0 * K + 3.0 * K) + 8.0 * K)},
         // Eq. 13-15 from the prepared rows: one fused mean/stability pass
         // over W rows plus the normalization tail.
         {"subcarrier_weighting", obs::Stage::kSubcarrierWeighting, 1.0,

@@ -53,6 +53,18 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses one) must be
+// malloc-backed too, or their release through the deletes below pairs
+// another allocator's new with std::free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 // The replacement operator new above is malloc-backed, so releasing with
 // std::free is correct; GCC's heuristic cannot see the pairing.
 #if defined(__GNUC__) && !defined(__clang__)
@@ -161,6 +173,10 @@ struct FleetRowResult {
   double elapsed_s = 0.0;
   double decisions_per_s = 0.0;
   double allocs_per_decision = 0.0;
+  // Churn rows only: heap allocations per admitted link over the run (the
+  // serve roster's bookkeeping; evicted engine slots are re-bound, not
+  // rebuilt).
+  double allocs_per_admission = 0.0;
   std::uint64_t links_admitted = 0;
   std::uint64_t links_evicted = 0;
   std::vector<serve::ShardStats> shard_stats;
@@ -252,8 +268,8 @@ FleetRowResult RunResidentFleet(const ProfileKit& kit, std::size_t links,
 // Residency-capped churn: many more links than the roster holds, routed in
 // per-link bursts (admit, fill the window, decide, then lose the LRU race).
 // Measures the admission/eviction control plane at fleet scale, so the
-// allocator is legitimately busy here — the row reports admissions and
-// evictions instead of an alloc gate.
+// allocator is legitimately busy here — the row reports admissions,
+// evictions and allocations per admission instead of an alloc gate.
 FleetRowResult RunChurnFleet(const ProfileKit& kit, std::size_t links,
                              std::size_t shards, std::size_t window_packets,
                              std::size_t resident_cap) {
@@ -269,6 +285,8 @@ FleetRowResult RunChurnFleet(const ProfileKit& kit, std::size_t links,
   core.Start();
 
   const auto& pool = kit.packet_pool;
+  const std::uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   const auto begin = Clock::now();
   for (std::size_t l = 0; l < links; ++l) {
     // One burst per link: window fill plus one hop-1 decision.
@@ -278,6 +296,8 @@ FleetRowResult RunChurnFleet(const ProfileKit& kit, std::size_t links,
   }
   core.Drain();
   const auto end = Clock::now();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   core.Stop();
 
   FleetRowResult row;
@@ -299,6 +319,14 @@ FleetRowResult RunChurnFleet(const ProfileKit& kit, std::size_t links,
       row.elapsed_s > 0.0
           ? static_cast<double>(row.decisions) / row.elapsed_s
           : 0.0;
+  row.allocs_per_decision =
+      row.decisions == 0 ? 0.0
+                         : static_cast<double>(allocs) /
+                               static_cast<double>(row.decisions);
+  row.allocs_per_admission =
+      row.links_admitted == 0 ? 0.0
+                              : static_cast<double>(allocs) /
+                                    static_cast<double>(row.links_admitted);
   return row;
 }
 
@@ -375,8 +403,12 @@ void WriteRowJson(std::ostream& out, const FleetRowResult& row) {
       << ",\n     \"elapsed_s\": " << ex::Fmt(row.elapsed_s, 3)
       << ", \"decisions_per_s\": " << ex::Fmt(row.decisions_per_s, 0)
       << ", \"allocs_per_decision\": "
-      << ex::Fmt(row.allocs_per_decision, 4)
-      << ",\n     \"links_admitted\": " << row.links_admitted
+      << ex::Fmt(row.allocs_per_decision, 4);
+  if (row.churn) {
+    out << ", \"allocs_per_admission\": "
+        << ex::Fmt(row.allocs_per_admission, 4);
+  }
+  out << ",\n     \"links_admitted\": " << row.links_admitted
       << ", \"links_evicted\": " << row.links_evicted
       << ",\n     \"queue_depth\": [";
   for (std::size_t i = 0; i < row.shard_stats.size(); ++i) {
@@ -458,7 +490,9 @@ int main(int argc, char** argv) {
   std::cout << "  churn " << rows.back().links << " links (cap "
             << churn_cap << "): "
             << ex::Fmt(rows.back().decisions_per_s, 0) << " decisions/s, "
-            << rows.back().links_evicted << " evictions\n";
+            << rows.back().links_evicted << " evictions, "
+            << ex::Fmt(rows.back().allocs_per_admission, 2)
+            << " allocs/admission\n";
 
   // Headline: the largest warm resident fleet at full hardware concurrency
   // (sharded at min(hw, 4); on a single-core host that is 1 shard).

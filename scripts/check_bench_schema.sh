@@ -173,8 +173,13 @@ def check_serve(doc):
             for key in ("p50", "p90", "p99", "max", "samples"):
                 require(key in depth, f"queue_depth row lost '{key}'")
         # Resident (non-churn) fleets must stay allocation-free per
-        # decision; churn rows legitimately allocate on the admission path.
-        if not row.get("churn"):
+        # decision; churn rows legitimately allocate on the admission path
+        # and report it per admitted link.
+        if row.get("churn"):
+            require("allocs_per_admission" in row,
+                    f"churn row links={row.get('links', '?')} lost "
+                    "'allocs_per_admission'")
+        else:
             value = row.get("allocs_per_decision")
             require(isinstance(value, (int, float)) and value == 0,
                     f"resident fleet links={row.get('links', '?')}: "

@@ -11,32 +11,135 @@
 namespace mulink::core {
 
 struct SensingEngine::LinkState {
-  LinkState(std::unique_ptr<Detector> owned,
-            std::shared_ptr<const Detector> shared,
-            const std::vector<double>& empty_scores, StreamingConfig cfg,
-            DetectorScratch* engine_scratch)
-      : owned_detector(std::move(owned)),
-        shared_detector(std::move(shared)),
-        view(owned_detector ? owned_detector.get() : shared_detector.get()),
-        config(cfg),
-        pre_sanitize(view->UsesSanitizedInput()),
-        ingest(config),
+  // What a link's buffers are sized by. An evicted link's state stays
+  // parked in its slot, and AddLink re-binds it to the next link of the
+  // same shape instead of rebuilding every ring.
+  struct Shape {
+    DetectionScheme scheme = DetectionScheme::kBaseline;
+    // Sanitize on ingest only when the scheme consumes sanitized windows
+    // (the amplitude-only baseline must see raw packets).
+    bool sanitized = false;
+    std::size_t antennas = 0;
+    std::size_t subcarriers = 0;
+    std::size_t window = 0;
+
+    bool operator==(const Shape&) const = default;
+  };
+
+  static Shape ShapeOf(const Detector& detector,
+                       const StreamingConfig& config) {
+    return Shape{detector.config().scheme, detector.UsesSanitizedInput(),
+                 detector.num_antennas(), detector.num_subcarriers(),
+                 config.window_packets};
+  }
+
+  // Buffer-shaping step: sizes every ring and window view for `shape_in`.
+  // The state holds no link until Bind. Nothing here is per-link state:
+  // every ring slot is rewritten by ingest before a decision reads it (a
+  // decision needs a full ring since the last Bind, Reset or resync), so a
+  // parked state's stale contents never reach a score.
+  LinkState(const Shape& shape_in, DetectorScratch* engine_scratch)
+      : shape(shape_in),
+        pre_sanitize(shape.sanitized),
         scratch(engine_scratch != nullptr
                     ? engine_scratch
                     // mulink-lint: allow(alloc): ctor, setup path
                     : (own_scratch = std::make_unique<DetectorScratch>())
                           .get()) {
-    MULINK_REQUIRE(config.window_packets >= 2,
+    const std::size_t window_packets = shape.window;
+    const std::size_t num_sub = shape.subcarriers;
+    // mulink-lint: allow(alloc): ctor, setup path
+    ring.resize(window_packets);
+    // Slots take the link's CSI shape up front, so ingest writes into warm
+    // buffers from the first packet on.
+    for (auto& slot : ring) slot.csi.Resize(shape.antennas, num_sub);
+    // mulink-lint: allow(alloc): ctor, setup path
+    window.reserve(window_packets);
+    if (pre_sanitize) {
+      // One flat block of per-packet mu rows, like power_ring and
+      // soa_slabs: row `slot` starts at mu_ring[slot * num_sub].
+      // mulink-lint: allow(alloc): ctor, setup path
+      mu_ring.resize(window_packets * num_sub, 0.0);
+      // mulink-lint: allow(alloc): ctor, setup path
+      mu_median_ring.resize(window_packets, 0.0);
+      // mulink-lint: allow(alloc): ctor, setup path
+      mu_window.resize(window_packets, nullptr);
+      // mulink-lint: allow(alloc): ctor, setup path
+      median_window.resize(window_packets, 0.0);
+      // mulink-lint: allow(alloc): ctor, setup path
+      pending_rows.resize(window_packets, nullptr);
+      // mulink-lint: allow(alloc): ctor, setup path
+      pending_medians.resize(window_packets, 0.0);
+      mu_median_scratch.Shape(num_sub);
+      if (shape.scheme == DetectionScheme::kSubcarrierWeighting ||
+          shape.scheme == DetectionScheme::kVarianceMobile) {
+        // Power-row cache: each ring slot keeps its packet's per-cell
+        // power (Detector::PowerRowInto), so the window statistic folds
+        // from contiguous rows instead of re-deriving window_packets x
+        // cells powers from the packets every hop.
+        power_stride = shape.antennas * num_sub;
+        // mulink-lint: allow(alloc): ctor, setup path
+        power_ring.resize(window_packets * power_stride, 0.0);
+        // mulink-lint: allow(alloc): ctor, setup path
+        power_window.resize(window_packets, nullptr);
+      }
+      if (shape.scheme == DetectionScheme::kSubcarrierAndPathWeighting) {
+        // Split-complex slab cache (see SampleCovarianceSlabsInto): each
+        // ring slot keeps its packet pre-deinterleaved so full-mask
+        // combined windows skip both the window copy and the per-window
+        // re-split of every packet. One contiguous block for the whole
+        // ring: at fleet scale the window read is the dominant cold-memory
+        // cost of a decision, and a single sequential run (with one wrap)
+        // streams far better than window_packets scattered heap blocks.
+        soa_stride = 2 * shape.antennas * num_sub;
+        // mulink-lint: allow(alloc): ctor, setup path
+        soa_slabs.resize(window_packets * soa_stride, 0.0);
+        // mulink-lint: allow(alloc): ctor, setup path
+        soa_window.resize(window_packets, nullptr);
+      }
+    } else {
+      // Amplitude-only baseline: the per-packet distance is a deterministic
+      // map of the raw packet, so it rides the ring like the mu factors do
+      // for sanitized schemes. Epoch stamps invalidate cached values when a
+      // recalibration swaps the amplitude profile under the ring.
+      // mulink-lint: allow(alloc): ctor, setup path
+      baseline_ring.resize(window_packets, 0.0);
+      // mulink-lint: allow(alloc): ctor, setup path
+      baseline_epoch_ring.resize(window_packets, ~std::uint64_t{0});
+      // mulink-lint: allow(alloc): ctor, setup path
+      baseline_window.resize(window_packets, 0.0);
+    }
+  }
+
+  // Attach a link: exactly one of `owned` / `shared` is set, and its shape
+  // with `cfg` is this state's. Every piece of per-link state is set here,
+  // so a fresh state and a parked one decide bit-identically. Allocation-
+  // free unless the link runs the HMM (its fit), the guard (its per-chain
+  // streaks, on the first frame) or adaptive calibration on a state that
+  // has not run it before (its posteriors).
+  void Bind(std::optional<Detector> owned,
+            std::shared_ptr<const Detector> shared,
+            const std::vector<double>& empty_scores,
+            const StreamingConfig& cfg) {
+    MULINK_REQUIRE(cfg.window_packets >= 2,
                    "SensingEngine: window must hold >= 2 packets");
-    MULINK_REQUIRE(config.hop_packets >= 1 &&
-                       config.hop_packets <= config.window_packets,
+    MULINK_REQUIRE(cfg.hop_packets >= 1 &&
+                       cfg.hop_packets <= cfg.window_packets,
                    "SensingEngine: hop must be in [1, window]");
-    MULINK_REQUIRE(owned_detector != nullptr || !config.calibration.enabled,
+    MULINK_REQUIRE(owned.has_value() || !cfg.calibration.enabled,
                    "SensingEngine: adaptive calibration mutates the detector "
                    "in place; shared-detector links must disable it");
+    owned_detector = std::move(owned);
+    shared_detector = std::move(shared);
+    view = owned_detector.has_value() ? &*owned_detector
+                                      : shared_detector.get();
+    config = cfg;
+    ingest = GuardedIngest(config);
+    filter.reset();
+    hmm.reset();
     if (config.use_hmm) {
       hmm = PresenceHmm::FitFromEmptyScores(empty_scores, config.hmm);
-      filter.emplace(*hmm);  // mulink-lint: allow(alloc): ctor, setup path
+      filter.emplace(*hmm);  // mulink-lint: allow(alloc): Bind, setup path
     }
     // Seed the drift watchdog's EWMA at the expected quiet score so the
     // first windows after construction or Reset cannot spuriously trip the
@@ -47,64 +150,18 @@ struct SensingEngine::LinkState {
     }
     calibrator.Configure(*view, std::span<const double>(empty_scores),
                          config.calibration);
-    // mulink-lint: allow(alloc): ctor, setup path
-    ring.reserve(config.window_packets);
-    // mulink-lint: allow(alloc): ctor, setup path
-    window.reserve(config.window_packets);
-    if (pre_sanitize) {
-      // mulink-lint: allow(alloc): ctor, setup path
-      mu_ring.resize(config.window_packets);
-      // mulink-lint: allow(alloc): ctor, setup path
-      mu_median_ring.resize(config.window_packets, 0.0);
-      // mulink-lint: allow(alloc): ctor, setup path
-      mu_window.resize(config.window_packets, nullptr);
-      // mulink-lint: allow(alloc): ctor, setup path
-      median_window.resize(config.window_packets, 0.0);
-      // mulink-lint: allow(alloc): ctor, setup path
-      pending_rows.resize(config.window_packets, nullptr);
-      // mulink-lint: allow(alloc): ctor, setup path
-      pending_medians.resize(config.window_packets, 0.0);
-      const std::size_t num_sub = view->num_subcarriers();
-      mu_median_scratch.Shape(num_sub);
-      const DetectionScheme scheme = view->config().scheme;
-      if (scheme == DetectionScheme::kSubcarrierWeighting ||
-          scheme == DetectionScheme::kVarianceMobile) {
-        // Power-row cache: each ring slot keeps its packet's per-cell
-        // power (Detector::PowerRowInto), so the window statistic folds
-        // from contiguous rows instead of re-deriving window_packets x
-        // cells powers from the packets every hop.
-        power_stride = view->num_antennas() * num_sub;
-        // mulink-lint: allow(alloc): ctor, setup path
-        power_ring.resize(config.window_packets * power_stride, 0.0);
-        // mulink-lint: allow(alloc): ctor, setup path
-        power_window.resize(config.window_packets, nullptr);
-      }
-      if (scheme == DetectionScheme::kSubcarrierAndPathWeighting) {
-        // Split-complex slab cache (see SampleCovarianceSlabsInto): each
-        // ring slot keeps its packet pre-deinterleaved so full-mask
-        // combined windows skip both the window copy and the per-window
-        // re-split of every packet. One contiguous block for the whole
-        // ring: at fleet scale the window read is the dominant cold-memory
-        // cost of a decision, and a single sequential run (with one wrap)
-        // streams far better than window_packets scattered heap blocks.
-        soa_stride = 2 * view->num_antennas() * view->num_subcarriers();
-        // mulink-lint: allow(alloc): ctor, setup path
-        soa_slabs.resize(config.window_packets * soa_stride, 0.0);
-        // mulink-lint: allow(alloc): ctor, setup path
-        soa_window.resize(config.window_packets, nullptr);
-      }
-    } else {
-      // Amplitude-only baseline: the per-packet distance is a deterministic
-      // map of the raw packet, so it rides the ring like the mu factors do
-      // for sanitized schemes. Epoch stamps invalidate cached values when a
-      // recalibration swaps the amplitude profile under the ring.
-      // mulink-lint: allow(alloc): ctor, setup path
-      baseline_ring.resize(config.window_packets, 0.0);
-      // mulink-lint: allow(alloc): ctor, setup path
-      baseline_epoch_ring.resize(config.window_packets, ~std::uint64_t{0});
-      // mulink-lint: allow(alloc): ctor, setup path
-      baseline_window.resize(config.window_packets, 0.0);
-    }
+    ClearStream();
+    metrics_on = true;
+    bound = true;
+  }
+
+  // Detach the link, keeping every buffer for the next Bind of this shape.
+  // The detector references go, so a parked slot pins no profile.
+  void Park() {
+    bound = false;
+    view = nullptr;
+    owned_detector.reset();
+    shared_detector.reset();
   }
 
   const Detector& det() const { return *view; }
@@ -130,10 +187,6 @@ struct SensingEngine::LinkState {
       packets_since_decision = 0;
       mu_median_pending = 0;
     }
-    if (write_pos >= ring.size()) {
-      // mulink-lint: allow(alloc): initial ring fill only; capacity reserved in ctor
-      ring.emplace_back();  // initial fill only; capacity is reserved
-    }
     wifi::CsiPacket& slot = ring[write_pos];
     if (pre_sanitize) {
       // Writes into the slot, reusing its CSI buffer once warm. Per-packet
@@ -148,7 +201,7 @@ struct SensingEngine::LinkState {
       // of them (ScoreSanitizedPrepared is bit-identical to the
       // recompute-per-window path on the same packets). The medians are
       // taken in batches at decision time (FlushMuMedians).
-      MeasureMultipathFactorsInto(slot, detector.band(), mu_ring[write_pos],
+      MeasureMultipathFactorsInto(slot, detector.band(), MuRow(write_pos),
                                   scratch->multipath);
       if (mu_median_pending < config.window_packets) ++mu_median_pending;
       if (!power_ring.empty()) {
@@ -228,7 +281,7 @@ struct SensingEngine::LinkState {
       const std::size_t slot_idx = (write_pos + i) % config.window_packets;
       if (need_window) window[i] = ring[slot_idx];
       if (pre_sanitize) {
-        mu_window[i] = mu_ring[slot_idx].data();
+        mu_window[i] = MuRow(slot_idx);
         median_window[i] = mu_median_ring[slot_idx];
         if (slab_fast) {
           soa_window[i] = soa_slabs.data() + slot_idx * soa_stride;
@@ -306,7 +359,7 @@ struct SensingEngine::LinkState {
       // sanitization state (sanitized on ingest iff the scheme consumes
       // sanitized windows), so the posteriors learn from window_span
       // directly — bit-identical to StreamingDetector's per-window copy.
-      // Calibration requires an owned detector (enforced in the ctor).
+      // Calibration requires an owned detector (enforced in Bind).
       calibrator.ObserveDecision(decision.score, decision.posterior,
                                  window_span, *owned_detector, context);
       if (hmm.has_value()) {
@@ -328,6 +381,10 @@ struct SensingEngine::LinkState {
     return decision;
   }
 
+  double* MuRow(std::size_t slot) {
+    return mu_ring.data() + slot * shape.subcarriers;
+  }
+
   // Cross-subcarrier medians of the mu rows ingested since the last flush
   // (at most one window's worth), batched through MuRowMediansInto — the
   // same medians the unprepared path takes per window. A hop of 1 runs
@@ -338,7 +395,7 @@ struct SensingEngine::LinkState {
     for (std::size_t j = 0; j < pending; ++j) {
       const std::size_t slot =
           (write_pos + window_packets - pending + j) % window_packets;
-      pending_rows[j] = mu_ring[slot].data();
+      pending_rows[j] = MuRow(slot);
     }
     MuRowMediansInto(std::span<const double* const>(pending_rows.data(),
                                                     pending),
@@ -364,31 +421,38 @@ struct SensingEngine::LinkState {
   }
 
   void Reset() {
+    ClearStream();
+    if (filter.has_value()) filter->Reset();
+    ingest.Reset();
+    calibrator.Reset(det());
+  }
+
+  // Empty ring, no belief, no recorded metrics (Bind and Reset).
+  void ClearStream() {
     write_pos = 0;
     count = 0;
     packets_since_decision = 0;
     mu_median_pending = 0;
     occupied = false;
     posterior = 0.0;
-    if (filter.has_value()) filter->Reset();
-    ingest.Reset();
-    calibrator.Reset(det());
     metrics.Reset();
     result.decisions.clear();
     result.occupied = false;
     result.posterior = 0.0;
   }
 
-  // Exactly one of owned/shared is set; `view` is the scoring-side alias.
-  // Calibration (which rewrites thresholds and profiles in place) is only
-  // legal on owned links.
-  std::unique_ptr<Detector> owned_detector;
+  const Shape shape;
+  const bool pre_sanitize;  // shape.sanitized
+  // False while parked (between RemoveLink and the next Bind).
+  bool bound = false;
+  // While bound, exactly one of owned/shared is set; `view` is the
+  // scoring-side alias. Calibration (which rewrites thresholds and profiles
+  // in place) is only legal on owned links. The owned detector lives inline:
+  // the LinkState itself sits behind a unique_ptr, so its address is stable.
+  std::optional<Detector> owned_detector;
   std::shared_ptr<const Detector> shared_detector;
   const Detector* view = nullptr;
   StreamingConfig config;
-  // Sanitize on ingest only when the scheme consumes sanitized windows (the
-  // amplitude-only baseline must see raw packets).
-  bool pre_sanitize = false;
   GuardedIngest ingest;
   LinkCalibrator calibrator;
   std::optional<PresenceHmm> hmm;
@@ -396,10 +460,10 @@ struct SensingEngine::LinkState {
   std::vector<wifi::CsiPacket> ring;
   std::vector<wifi::CsiPacket> window;
   // Ingest-time multipath factors riding the packet ring (pre_sanitize
-  // links only): mu_ring[slot] / mu_median_ring[slot] belong to ring[slot];
+  // links only): MuRow(slot) / mu_median_ring[slot] belong to ring[slot];
   // mu_window / median_window are their window-ordered views for
   // ScoreSanitizedPrepared.
-  std::vector<std::vector<double>> mu_ring;
+  std::vector<double> mu_ring;
   std::vector<double> mu_median_ring;
   std::vector<const double*> mu_window;
   std::vector<double> median_window;
@@ -452,12 +516,8 @@ SensingEngine& SensingEngine::operator=(SensingEngine&&) noexcept = default;
 std::size_t SensingEngine::AddLink(Detector detector,
                                    const std::vector<double>& empty_scores,
                                    StreamingConfig config) {
-  // mulink-lint: allow(alloc): AddLink, setup path
-  auto owned = std::make_unique<Detector>(std::move(detector));
-  // mulink-lint: allow(alloc): AddLink, setup path
-  return InstallLink(std::make_unique<LinkState>(std::move(owned), nullptr,
-                                                 empty_scores, config,
-                                                 shared_scratch_.get()));
+  return BindLink(std::optional<Detector>(std::move(detector)), nullptr,
+                  empty_scores, config);
 }
 
 std::size_t SensingEngine::AddLink(std::shared_ptr<const Detector> detector,
@@ -465,36 +525,59 @@ std::size_t SensingEngine::AddLink(std::shared_ptr<const Detector> detector,
                                    StreamingConfig config) {
   MULINK_REQUIRE(detector != nullptr,
                  "SensingEngine: shared detector must be non-null");
-  // mulink-lint: allow(alloc): AddLink, setup path
-  return InstallLink(std::make_unique<LinkState>(
-      nullptr, std::move(detector), empty_scores, config,
-      shared_scratch_.get()));
+  return BindLink(std::nullopt, std::move(detector), empty_scores, config);
 }
 
-std::size_t SensingEngine::InstallLink(std::unique_ptr<LinkState> state) {
-  ++active_links_;
-  if (!free_slots_.empty()) {
-    const std::size_t slot = free_slots_.back();
+std::size_t SensingEngine::BindLink(std::optional<Detector> owned,
+                                    std::shared_ptr<const Detector> shared,
+                                    const std::vector<double>& empty_scores,
+                                    const StreamingConfig& config) {
+  const LinkState::Shape shape =
+      LinkState::ShapeOf(owned.has_value() ? *owned : *shared, config);
+  // The most recently freed slot is reused first; its parked buffers are
+  // re-bound when the shape matches and rebuilt otherwise.
+  const bool reuse = !free_slots_.empty();
+  const std::size_t slot = reuse ? free_slots_.back() : links_.size();
+  if (reuse) {
     free_slots_.pop_back();
-    links_[slot] = std::move(state);
-    return slot;
+    if (links_[slot]->shape != shape) {
+      // mulink-lint: allow(alloc): AddLink, setup path
+      links_[slot] = std::make_unique<LinkState>(shape, shared_scratch_.get());
+    }
+  } else {
+    // mulink-lint: allow(alloc): AddLink, setup path
+    links_.push_back(std::make_unique<LinkState>(shape, shared_scratch_.get()));
   }
-  // mulink-lint: allow(alloc): AddLink, setup path
-  links_.push_back(std::move(state));
-  return links_.size() - 1;
+  try {
+    links_[slot]->Bind(std::move(owned), std::move(shared), empty_scores,
+                       config);
+  } catch (...) {
+    // A rejected link leaves the slot table as it was.
+    links_[slot]->Park();
+    if (reuse) {
+      // mulink-lint: allow(alloc): rejected AddLink, setup path
+      free_slots_.push_back(slot);
+    } else {
+      links_.pop_back();
+    }
+    throw;
+  }
+  ++active_links_;
+  return slot;
 }
 
 void SensingEngine::RemoveLink(std::size_t link) {
-  MULINK_REQUIRE(link < links_.size() && links_[link] != nullptr,
-                 "SensingEngine: RemoveLink on inactive slot");
-  links_[link].reset();
+  LinkState& state = Link(link);
+  // The link's counters and histograms outlive it in the engine totals.
+  retired_metrics_.MergeFrom(state.metrics);
+  state.Park();
   // mulink-lint: allow(alloc): eviction path, off the per-packet hot loop
   free_slots_.push_back(link);
   --active_links_;
 }
 
 bool SensingEngine::LinkActive(std::size_t link) const {
-  return link < links_.size() && links_[link] != nullptr;
+  return link < links_.size() && links_[link]->bound;
 }
 
 void SensingEngine::UseSharedScratch() {
@@ -507,13 +590,13 @@ void SensingEngine::UseSharedScratch() {
 }
 
 SensingEngine::LinkState& SensingEngine::Link(std::size_t link) {
-  MULINK_REQUIRE(link < links_.size() && links_[link] != nullptr,
+  MULINK_REQUIRE(LinkActive(link),
                  "SensingEngine: link out of range or removed");
   return *links_[link];
 }
 
 const SensingEngine::LinkState& SensingEngine::Link(std::size_t link) const {
-  MULINK_REQUIRE(link < links_.size() && links_[link] != nullptr,
+  MULINK_REQUIRE(LinkActive(link),
                  "SensingEngine: link out of range or removed");
   return *links_[link];
 }
@@ -580,9 +663,9 @@ const obs::Registry& SensingEngine::Metrics(std::size_t link) const {
 }
 
 obs::Registry SensingEngine::AggregateMetrics() const {
-  obs::Registry total;
+  obs::Registry total = retired_metrics_;
   for (const auto& link : links_) {
-    if (link != nullptr) total.MergeFrom(link->metrics);
+    if (link->bound) total.MergeFrom(link->metrics);
   }
   return total;
 }
@@ -598,8 +681,9 @@ const StreamingConfig& SensingEngine::config(std::size_t link) const {
 void SensingEngine::Reset(std::size_t link) { Link(link).Reset(); }
 
 void SensingEngine::ResetAll() {
+  retired_metrics_.Reset();
   for (auto& link : links_) {
-    if (link != nullptr) link->Reset();
+    if (link->bound) link->Reset();
   }
 }
 

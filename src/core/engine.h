@@ -70,10 +70,14 @@ class SensingEngine {
                       const std::vector<double>& empty_scores,
                       StreamingConfig config = {});
 
-  // Drop one link entirely (serving-tier eviction). Its slot index is
-  // recycled by the next AddLink; every other link keeps its index. The
-  // slot is invalid until then — per-link calls on it are precondition
-  // errors.
+  // Drop one link (serving-tier eviction). Its slot index is recycled by
+  // the next AddLink; every other link keeps its index. The slot is invalid
+  // until then — per-link calls on it are precondition errors. The slot
+  // keeps the link's buffers parked: an AddLink with the same buffer shape
+  // (scheme, antennas, subcarriers, window) re-binds them instead of
+  // rebuilding, so a fleet's admit/evict churn stops allocating once every
+  // slot is warm. The link's metrics fold into the engine totals (see
+  // AggregateMetrics).
   void RemoveLink(std::size_t link);
   bool LinkActive(std::size_t link) const;
 
@@ -124,8 +128,9 @@ class SensingEngine {
 
   // Observability. Each link records into its own Registry shard (ingest
   // and decision counters, per-stage latency histograms, profile-stack
-  // cache stats); AggregateMetrics merges the shards in link order, so the
-  // totals are deterministic for a fixed ingest sequence. Enabled by
+  // cache stats); AggregateMetrics merges the shards of removed links (in
+  // removal order) and then the active ones in link order, so the totals
+  // are deterministic for a fixed ingest and eviction sequence. Enabled by
   // default; disabling detaches every link's shard (runtime no-op sink)
   // without clearing what was recorded. Decisions are bit-identical with
   // metrics on, off, or compiled out (-DMULINK_OBS=OFF).
@@ -138,16 +143,21 @@ class SensingEngine {
   const StreamingConfig& config(std::size_t link) const;
 
   // Drop buffered packets and temporal state; keeps all warm buffers.
+  // ResetAll also clears the removed links' metrics.
   void Reset(std::size_t link);
   void ResetAll();
 
  private:
   // All per-link persistent state. Held behind unique_ptr because the HMM
   // filter stores a reference to its PresenceHmm — LinkState addresses must
-  // survive links_ growth.
+  // survive links_ growth. Every slot holds one, bound to a link or parked.
   struct LinkState;
 
-  std::size_t InstallLink(std::unique_ptr<LinkState> state);
+  // Both AddLink overloads: exactly one of owned / shared is set.
+  std::size_t BindLink(std::optional<Detector> owned,
+                       std::shared_ptr<const Detector> shared,
+                       const std::vector<double>& empty_scores,
+                       const StreamingConfig& config);
 
   LinkState& Link(std::size_t link);
   const LinkState& Link(std::size_t link) const;
@@ -155,6 +165,8 @@ class SensingEngine {
   std::vector<std::unique_ptr<LinkState>> links_;
   std::vector<std::size_t> free_slots_;
   std::size_t active_links_ = 0;
+  // Metrics of removed links, folded in at RemoveLink.
+  obs::Registry retired_metrics_;
   // Engine-owned workspace shared by every link when UseSharedScratch() was
   // called (null otherwise; links then own their scratch).
   std::unique_ptr<DetectorScratch> shared_scratch_;

@@ -1,5 +1,6 @@
 #include "core/multipath_factor.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.h"
@@ -83,13 +84,20 @@ void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
                                  const wifi::BandPlan& band,
                                  std::vector<double>& out,
                                  MultipathScratch& scratch) {
+  // mulink-lint: allow(alloc): warm output; no realloc once sized
+  out.resize(packet.NumSubcarriers());
+  MeasureMultipathFactorsInto(packet, band, out.data(), scratch);
+}
+
+void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
+                                 const wifi::BandPlan& band, double* out,
+                                 MultipathScratch& scratch) {
   MULINK_REQUIRE(packet.NumAntennas() >= 1,
                  "MeasureMultipathFactors: packet has no antennas");
   const std::size_t num_sc = packet.NumSubcarriers();
   MULINK_REQUIRE(num_sc == band.NumSubcarriers(),
                  "MeasureMultipathFactors: packet/band size mismatch");
-  // mulink-lint: allow(alloc): warm output; no realloc once sized
-  out.assign(num_sc, 0.0);
+  std::fill(out, out + num_sc, 0.0);
   EnsureLosFractions(band, scratch);
   const Complex* csi = packet.csi.raw();
   for (std::size_t m = 0; m < packet.NumAntennas(); ++m) {
@@ -101,9 +109,10 @@ void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
     const double dominant =
         dsp::DominantTapPower(std::span<const Complex>(row, num_sc));
     kernels::MuAccumulateRow(row, scratch.los_frac.data(), dominant, num_sc,
-                             out.data());
+                             out);
   }
-  for (auto& v : out) v /= static_cast<double>(packet.NumAntennas());
+  const double num_ant = static_cast<double>(packet.NumAntennas());
+  for (std::size_t k = 0; k < num_sc; ++k) out[k] /= num_ant;
 }
 
 std::vector<std::vector<double>> MeasureMultipathFactors(

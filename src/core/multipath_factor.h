@@ -48,6 +48,13 @@ void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
                                  std::vector<double>& out,
                                  MultipathScratch& scratch);
 
+// Same factors written to `out[0 .. subcarriers)` (a row of a caller-owned
+// block, such as a link's flat ring of per-packet rows). The vector
+// overload wraps this one.
+void MeasureMultipathFactorsInto(const wifi::CsiPacket& packet,
+                                 const wifi::BandPlan& band, double* out,
+                                 MultipathScratch& scratch);
+
 // Multipath factors for every packet of a session: result[m][k] is packet
 // m's factor on subcarrier k.
 std::vector<std::vector<double>> MeasureMultipathFactors(

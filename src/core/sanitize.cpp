@@ -1,19 +1,20 @@
 #include "core/sanitize.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/assert.h"
 #include "common/constants.h"
-#include "dsp/fit.h"
+#include "common/error.h"
 #include "kernels/kernels.h"
 
 namespace mulink::core {
 
 namespace {
 
-// (Re)fill the cached subcarrier offsets when the band fingerprint changes.
-// The cached values are exactly BandPlan::OffsetHz(k), so warm and cold
-// packets sanitize bit-identically.
+// (Re)fill the cached subcarrier offsets, and the fit's sums over them, when
+// the band fingerprint changes. The cached values are exactly
+// BandPlan::OffsetHz(k), so warm and cold packets sanitize bit-identically.
 void EnsureOffsets(const wifi::BandPlan& band, SanitizeScratch& scratch) {
   const std::size_t num_sc = band.NumSubcarriers();
   const bool stale = scratch.offsets.size() != num_sc ||
@@ -23,12 +24,61 @@ void EnsureOffsets(const wifi::BandPlan& band, SanitizeScratch& scratch) {
   if (!stale) return;
   // mulink-lint: allow(alloc): band-fingerprint cache rebuild, cold
   scratch.offsets.resize(num_sc);
+  double sum = 0.0, sum_sq = 0.0;
   for (std::size_t k = 0; k < num_sc; ++k) {
-    scratch.offsets[k] = band.OffsetHz(k);
+    const double x = band.OffsetHz(k);
+    scratch.offsets[k] = x;
+    // The design-column products of linalg::SolveLeastSquaresInto for
+    // [1, x], summed in the same order.
+    sum += 1.0 * x;
+    sum_sq += x * x;
   }
+  scratch.offsets_sum = sum;
+  scratch.offsets_sum_sq = sum_sq;
   scratch.band_center_hz = band.center_hz();
   scratch.band_spacing_hz = band.spacing_hz();
   scratch.band_indices = band.indices();  // allow(alloc): cache rebuild, cold
+}
+
+// Least-squares line through (offsets[k], ys[k]): the 2x2 normal equations
+// of the design [1, x], from the cached sums plus this packet's sum y and
+// sum xy, solved with linalg::SolveLinearInPlace's partial-pivot elimination
+// operation for operation. Intercept and slope are therefore bit-identical
+// to dsp::FitLinear on the same points, without its design matrix, generic
+// solve or R^2 (which sanitization never reads).
+PhaseFit FitLine(const SanitizeScratch& scratch, std::span<const double> ys) {
+  const double* xs = scratch.offsets.data();
+  double sum_y = 0.0, sum_xy = 0.0;
+  for (std::size_t k = 0; k < ys.size(); ++k) {
+    sum_y += 1.0 * ys[k];
+    sum_xy += xs[k] * ys[k];
+  }
+  double a00 = static_cast<double>(ys.size());  // sum of 1.0 * 1.0, exact
+  double a01 = scratch.offsets_sum;
+  double a10 = scratch.offsets_sum;
+  double a11 = scratch.offsets_sum_sq;
+  double b0 = sum_y;
+  double b1 = sum_xy;
+  // Column 0: partial pivot, then eliminate row 1.
+  if (std::abs(a10) > std::abs(a00)) {
+    std::swap(a00, a10);
+    std::swap(a01, a11);
+    std::swap(b0, b1);
+  }
+  if (std::abs(a00) < 1e-14) {
+    throw NumericalError("SolveLinear: singular or near-singular matrix");
+  }
+  const double factor = a10 / a00;
+  if (factor != 0.0) {
+    a11 -= factor * a01;
+    b1 -= factor * b0;
+  }
+  // Column 1 has no rows left to pivot against.
+  if (std::abs(a11) < 1e-14) {
+    throw NumericalError("SolveLinear: singular or near-singular matrix");
+  }
+  const double slope = b1 / a11;
+  return PhaseFit{(b0 - a01 * slope) / a00, slope};
 }
 
 }  // namespace
@@ -96,11 +146,7 @@ PhaseFit FitLinearPhase(const wifi::CsiPacket& packet,
   UnwrapPhaseInto(scratch.avg_phase, scratch.unwrapped);
 
   EnsureOffsets(band, scratch);
-
-  const auto fit =
-      dsp::FitLinear(std::span<const double>(scratch.offsets),
-                     std::span<const double>(scratch.unwrapped), scratch.fit);
-  return PhaseFit{fit.intercept, fit.slope};
+  return FitLine(scratch, scratch.unwrapped);
 }
 
 wifi::CsiPacket SanitizePhase(const wifi::CsiPacket& packet,
@@ -115,8 +161,17 @@ void SanitizePhaseInto(const wifi::CsiPacket& packet,
                        const wifi::BandPlan& band, wifi::CsiPacket& out,
                        SanitizeScratch& scratch) {
   const PhaseFit fit = FitLinearPhase(packet, band, scratch);
-  out = packet;  // copy-assign reuses out's CSI capacity
   const std::size_t num_sc = packet.NumSubcarriers();
+  // The rotation below writes every CSI cell, so only the header and the
+  // shape are copied (Resize reuses out's capacity; a warm slot of the
+  // same shape skips it).
+  if (out.NumAntennas() != packet.NumAntennas() ||
+      out.NumSubcarriers() != num_sc) {
+    out.csi.Resize(packet.NumAntennas(), num_sc);
+  }
+  out.timestamp_s = packet.timestamp_s;
+  out.rssi_db = packet.rssi_db;
+  out.sequence = packet.sequence;
   // Per-subcarrier rotation e^{-j correction}, with the sin/cos pair from
   // the vectorized kernel and the rotation applied row-wise across all
   // antennas (they share the correction — inter-antenna phase is preserved).

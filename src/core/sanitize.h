@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/fit.h"
 #include "kernels/aligned.h"
 #include "wifi/band.h"
 #include "wifi/csi.h"
@@ -34,10 +33,13 @@ struct SanitizeScratch {
   // (BandPlan::OffsetHz is an out-of-line call; two full sweeps per packet
   // were measurable at the ingest cadence).
   std::vector<double> offsets;
+  // The phase fit's packet-independent normal-equation sums over `offsets`
+  // (sum x and sum x^2, in index order), cached with them.
+  double offsets_sum = 0.0;
+  double offsets_sum_sq = 0.0;
   double band_center_hz = 0.0;
   double band_spacing_hz = 0.0;
   std::vector<int> band_indices;
-  dsp::FitScratch fit;
   kernels::AlignedBuffer sum_re;       // antenna-summed CSI, split complex
   kernels::AlignedBuffer sum_im;
   kernels::AlignedBuffer corrections;  // -(offset + slope * f_off) per k
@@ -52,6 +54,9 @@ std::vector<double> UnwrapPhase(const std::vector<double>& phases);
 void UnwrapPhaseInto(std::span<const double> phases, std::span<double> out);
 
 // Fit the linear phase model to the antenna-averaged unwrapped CSI phase.
+// Ordinary least squares, bit-identical to dsp::FitLinear over the same
+// points (its normal equations in closed form; throws NumericalError on a
+// singular design, as FitLinear does).
 PhaseFit FitLinearPhase(const wifi::CsiPacket& packet,
                         const wifi::BandPlan& band);
 PhaseFit FitLinearPhase(const wifi::CsiPacket& packet,
@@ -62,7 +67,9 @@ wifi::CsiPacket SanitizePhase(const wifi::CsiPacket& packet,
                               const wifi::BandPlan& band);
 
 // Scratch variant writing into `out`; no heap traffic once `out` and the
-// scratch have warmed up to the packet shape.
+// scratch have warmed up to the packet shape. `out` takes the packet's
+// timestamp, RSSI, sequence and shape; every CSI cell is written by the
+// rotation.
 void SanitizePhaseInto(const wifi::CsiPacket& packet,
                        const wifi::BandPlan& band, wifi::CsiPacket& out,
                        SanitizeScratch& scratch);

@@ -844,4 +844,200 @@ TEST(SensingEngine, RemoveLinkRecyclesSlot) {
   }
 }
 
+// A link re-admitted into a parked slot decides bit-identically to the same
+// registration on a fresh engine. The slot cycles through registrations
+// that keep the buffer shape (re-bound: scheme and window unchanged, but
+// owned <-> shared detector, hop, HMM, guard and adaptive calibration
+// flipped) and ones that change it (rebuilt: scheme or window differs),
+// on a faulted, drifting stream with a dead chain, next to a long-lived
+// neighbour link; with per-link and with engine-shared scratch.
+TEST(SensingEngine, ReadmittedParkedSlotMatchesFreshEngine) {
+  auto& f = Fixture();
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults.enabled = true;
+  sim_config.faults.seed = 41;
+  sim_config.faults.drop_prob = 0.02;
+  sim_config.faults.corrupt_prob = 0.01;
+  sim_config.faults.agc_jump_prob = 0.005;
+  sim_config.faults.drift_ramp_db_per_1k = 15.0;
+  sim_config.faults.dead_antenna = 2;
+  sim_config.faults.dead_from_packet = 200;
+  auto faulty = ex::MakeSimulator(f.link, sim_config);
+  Rng rng(515);
+  auto session = faulty.CaptureSession(150, std::nullopt, rng);
+  propagation::HumanBody body;
+  body.position = {3.0, 4.2};
+  const auto occupied = faulty.CaptureSession(150, body, rng);
+  session.insert(session.end(), occupied.begin(), occupied.end());
+  const std::span<const wifi::CsiPacket> stream(session);
+
+  struct Profile {
+    core::Detector detector;
+    std::shared_ptr<const core::Detector> shared;
+    std::vector<double> empty_scores;
+  };
+  std::vector<Profile> profiles;
+  for (auto scheme : kAllSchemes) {
+    auto detector = f.Calibrated(scheme);
+    auto empty_scores = EmptyScores(f, detector);
+    detector.SetThreshold(1.0);
+    auto shared = std::make_shared<const core::Detector>(detector);
+    profiles.push_back({std::move(detector), std::move(shared),
+                        std::move(empty_scores)});
+  }
+
+  struct Spec {
+    std::size_t profile;  // kAllSchemes index
+    std::size_t window;
+    std::size_t hop;
+    bool shared;
+    bool hmm;
+    bool guard;
+    bool adaptive;
+  };
+  const Spec specs[] = {
+      {2, 25, 5, false, true, true, true},
+      {2, 25, 1, true, false, false, false},   // re-bound
+      {2, 25, 10, false, false, true, true},   // re-bound
+      {1, 25, 10, true, true, true, false},    // scheme differs: rebuilt
+      {1, 25, 25, false, true, true, true},    // re-bound
+      {1, 30, 10, false, false, true, false},  // window differs: rebuilt
+      {3, 30, 3, false, true, true, true},
+      {3, 30, 7, true, true, false, false},    // re-bound
+      {0, 30, 5, false, true, true, true},
+      {0, 30, 10, true, false, true, false},   // re-bound
+      {2, 25, 5, false, true, true, true},
+  };
+  const auto add = [&](core::SensingEngine& engine, const Spec& spec) {
+    const Profile& p = profiles[spec.profile];
+    core::StreamingConfig config;
+    config.window_packets = spec.window;
+    config.hop_packets = spec.hop;
+    config.use_hmm = spec.hmm;
+    config.guard_enabled = spec.guard;
+    config.calibration.enabled = spec.adaptive;
+    return spec.shared ? engine.AddLink(p.shared, p.empty_scores, config)
+                       : engine.AddLink(core::Detector(p.detector),
+                                        p.empty_scores, config);
+  };
+  const auto run = [&](core::SensingEngine& engine, std::size_t link) {
+    std::vector<core::PresenceDecision> out;
+    const std::size_t cuts[] = {9, 31, 1, 25, 4};
+    for (std::size_t pos = 0, cut = 0; pos < stream.size(); ++cut) {
+      const std::size_t n = std::min(cuts[cut % 5], stream.size() - pos);
+      const auto& result = engine.ProcessBatch(link, stream.subspan(pos, n));
+      out.insert(out.end(), result.decisions.begin(), result.decisions.end());
+      pos += n;
+    }
+    return out;
+  };
+
+  bool any_degraded = false;
+  for (const bool shared_scratch : {false, true}) {
+    core::SensingEngine engine;
+    if (shared_scratch) engine.UseSharedScratch();
+    const std::size_t neighbour = add(engine, specs[0]);
+    std::size_t cycling = add(engine, specs[0]);
+    (void)run(engine, cycling);
+    for (std::size_t i = 0; i < std::size(specs); ++i) {
+      const std::size_t freed = cycling;
+      engine.RemoveLink(freed);
+      (void)engine.ProcessBatch(neighbour, stream.subspan(0, 13));
+      cycling = add(engine, specs[i]);
+      ASSERT_EQ(cycling, freed);
+      const auto got = run(engine, cycling);
+
+      core::SensingEngine fresh;
+      if (shared_scratch) fresh.UseSharedScratch();
+      const std::size_t ref = add(fresh, specs[i]);
+      const auto want = run(fresh, ref);
+
+      const std::string where = "spec " + std::to_string(i) +
+                                " shared_scratch=" +
+                                std::to_string(shared_scratch);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      ASSERT_FALSE(want.empty()) << where;
+      for (std::size_t d = 0; d < want.size(); ++d) {
+        EXPECT_EQ(got[d].timestamp_s, want[d].timestamp_s) << where;
+        EXPECT_EQ(got[d].score, want[d].score) << where << " #" << d;
+        EXPECT_EQ(got[d].posterior, want[d].posterior) << where;
+        EXPECT_EQ(got[d].occupied, want[d].occupied) << where;
+        EXPECT_EQ(got[d].degraded, want[d].degraded) << where;
+        any_degraded |= want[d].degraded;
+      }
+      const auto h_got = engine.Health(cycling);
+      const auto h_want = fresh.Health(ref);
+      EXPECT_EQ(h_got.received, h_want.received) << where;
+      EXPECT_EQ(h_got.quarantined, h_want.quarantined) << where;
+      EXPECT_EQ(h_got.dead_antenna_mask, h_want.dead_antenna_mask) << where;
+      EXPECT_EQ(h_got.calibration_state, h_want.calibration_state) << where;
+      EXPECT_EQ(h_got.quiet_windows, h_want.quiet_windows) << where;
+      EXPECT_EQ(h_got.profile_swaps, h_want.profile_swaps) << where;
+      EXPECT_EQ(h_got.empty_score_ewma, h_want.empty_score_ewma) << where;
+      // Counters match except how the profile-stack lookups split between
+      // hits and rebuilds: the slot's scratch may still hold the profile's
+      // stack from the previous link, which changes no score.
+      auto c_got = engine.Metrics(cycling).counters();
+      auto c_want = fresh.Metrics(ref).counters();
+      for (auto* c : {&c_got, &c_want}) {
+        auto& hits = (*c)[static_cast<std::size_t>(
+            obs::Counter::kProfileStackHits)];
+        auto& rebuilds = (*c)[static_cast<std::size_t>(
+            obs::Counter::kProfileStackRebuilds)];
+        hits += rebuilds;
+        rebuilds = 0;
+      }
+      EXPECT_EQ(c_got, c_want) << where;
+    }
+    EXPECT_EQ(engine.NumLinks(), 2u);
+  }
+  EXPECT_TRUE(any_degraded) << "no dead-chain stretch";
+}
+
+// Removing a link keeps its counters and stage histograms in
+// AggregateMetrics; a link re-admitted into the slot adds its own on top,
+// and ResetAll clears both.
+TEST(SensingEngine, AggregateMetricsSurviveEviction) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  auto& f = Fixture();
+  auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
+  const auto empty_scores = EmptyScores(f, detector);
+  detector.SetThreshold(1.0);
+  core::StreamingConfig config;
+  config.hop_packets = 5;
+  config.guard_enabled = true;
+
+  core::SensingEngine engine;
+  const std::span<const wifi::CsiPacket> session(f.occupied_session);
+  for (std::size_t l = 0; l < 3; ++l) {
+    const std::size_t link = engine.AddLink(detector, empty_scores, config);
+    (void)engine.ProcessBatch(link, session.subspan(10 * l, 80));
+  }
+  const obs::Registry before = engine.AggregateMetrics();
+  ASSERT_GT(before.Get(obs::Counter::kDecisions), 0u);
+
+  engine.RemoveLink(1);
+  const obs::Registry after = engine.AggregateMetrics();
+  EXPECT_EQ(after.counters(), before.counters());
+  for (std::size_t s = 0; s < obs::kNumStages; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    EXPECT_EQ(after.StageLatency(stage).count,
+              before.StageLatency(stage).count);
+  }
+
+  const std::size_t again = engine.AddLink(detector, empty_scores, config);
+  ASSERT_EQ(again, 1u);
+  (void)engine.ProcessBatch(again, session.subspan(0, 60));
+  const obs::Registry total = engine.AggregateMetrics();
+  for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+    const auto counter = static_cast<obs::Counter>(c);
+    EXPECT_EQ(total.Get(counter),
+              before.Get(counter) + engine.Metrics(again).Get(counter))
+        << obs::ToString(counter);
+  }
+
+  engine.ResetAll();
+  EXPECT_TRUE(engine.AggregateMetrics().Empty());
+}
+
 }  // namespace

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/constants.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/sanitize.h"
+#include "dsp/fit.h"
+#include "kernels/kernels.h"
 #include "propagation/path.h"
 #include "wifi/cfr.h"
 #include "wifi/noise.h"
@@ -179,6 +185,133 @@ TEST(Sanitize, SessionVariantMatchesPerPacket) {
     const auto one = SanitizePhase(session[i], band);
     for (std::size_t k = 0; k < band.NumSubcarriers(); ++k) {
       EXPECT_EQ(cleaned[i].csi.At(0, k), one.csi.At(0, k));
+    }
+  }
+}
+
+// The fit as the generic least-squares pipeline computes it: the same
+// antenna-summed kernel atan2 and unwrap, then dsp::FitLinear.
+dsp::LinearFit ReferenceFit(const wifi::CsiPacket& packet,
+                            const wifi::BandPlan& band) {
+  const std::size_t num_sc = packet.NumSubcarriers();
+  std::vector<double> re(num_sc), im(num_sc), phase(num_sc), unwrapped(num_sc);
+  std::vector<double> offsets(num_sc);
+  for (std::size_t k = 0; k < num_sc; ++k) {
+    Complex acc(0.0, 0.0);
+    for (std::size_t m = 0; m < packet.NumAntennas(); ++m) {
+      acc += packet.csi.At(m, k);
+    }
+    re[k] = acc.real();
+    im[k] = acc.imag();
+    offsets[k] = band.OffsetHz(k);
+  }
+  kernels::Atan2(im.data(), re.data(), num_sc, phase.data());
+  UnwrapPhaseInto(phase, unwrapped);
+  return dsp::FitLinear(offsets, unwrapped);
+}
+
+// Random CSI with a common phase, an STO slope and per-cell phase noise
+// (or, every fourth packet, fully random phases).
+wifi::CsiPacket RandomPacket(Rng& rng, std::size_t antennas,
+                             const wifi::BandPlan& band, std::size_t i) {
+  linalg::CMatrix csi(antennas, band.NumSubcarriers());
+  const double common = rng.Uniform(-kPi, kPi);
+  const double sto = rng.Uniform(-80e-9, 80e-9);
+  for (std::size_t m = 0; m < antennas; ++m) {
+    for (std::size_t k = 0; k < band.NumSubcarriers(); ++k) {
+      const double phase =
+          i % 4 == 3 ? rng.Uniform(-kPi, kPi)
+                     : common - 2.0 * kPi * band.OffsetHz(k) * sto +
+                           rng.Uniform(-0.3, 0.3);
+      csi.At(m, k) = std::polar(rng.Uniform(0.05, 2.0), phase);
+    }
+  }
+  wifi::CsiPacket packet = MakePacket(csi);
+  packet.timestamp_s = 0.02 * static_cast<double>(i);
+  packet.rssi_db = rng.Uniform(-60.0, -30.0);
+  packet.sequence = i;
+  return packet;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The closed-form fit reproduces dsp::FitLinear bit for bit, on both
+// kernel backends, with one scratch carried across band changes (the
+// cached sums must follow the band fingerprint). The bands cover a
+// symmetric plan (sum x == 0: no pivot swap, zero elimination factor) and
+// asymmetric ones (pivot swap).
+TEST(Sanitize, ClosedFormFitMatchesDspFitLinearBitwise) {
+  std::vector<int> symmetric, asymmetric;
+  for (int i = -15; i <= 15; ++i) {
+    if (i != 0) symmetric.push_back(i);
+  }
+  for (int i = 0; i < 20; ++i) asymmetric.push_back(3 * i - 7);
+  const wifi::BandPlan bands[] = {
+      wifi::BandPlan::Intel5300Channel11(),
+      wifi::BandPlan(2.437e9, symmetric, 312.5e3),
+      wifi::BandPlan::Intel5300Channel(3),
+      wifi::BandPlan(5.18e9, asymmetric, 625e3),
+  };
+  for (auto backend : {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
+    if (!kernels::BackendAvailable(backend)) continue;
+    kernels::SetBackend(backend);
+    Rng rng(2024);
+    SanitizeScratch scratch;
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < 1200; ++i) {
+      // The band changes every 50 packets, mid-stream on one scratch.
+      const auto& band = bands[(i / 50) % std::size(bands)];
+      const auto packet = RandomPacket(rng, 1 + i % 3, band, i);
+      const dsp::LinearFit want = ReferenceFit(packet, band);
+      const PhaseFit got = FitLinearPhase(packet, band, scratch);
+      ASSERT_EQ(Bits(got.offset_rad), Bits(want.intercept))
+          << kernels::ToString(backend) << " packet " << i;
+      ASSERT_EQ(Bits(got.slope_rad_per_hz), Bits(want.slope))
+          << kernels::ToString(backend) << " packet " << i;
+      ++checked;
+    }
+    EXPECT_EQ(checked, 1200u);
+  }
+  kernels::ResetBackend();
+}
+
+// A singular design still throws NumericalError, exactly where
+// dsp::FitLinear does: every subcarrier at one offset.
+TEST(Sanitize, SingularDesignStillThrows) {
+  Rng rng(8);
+  for (int index : {0, 5}) {
+    const wifi::BandPlan band(2.412e9, {index, index, index, index}, 1.0);
+    const auto packet = RandomPacket(rng, 2, band, 0);
+    EXPECT_THROW(ReferenceFit(packet, band), NumericalError);
+    SanitizeScratch scratch;
+    EXPECT_THROW(FitLinearPhase(packet, band, scratch), NumericalError);
+    wifi::CsiPacket out;
+    EXPECT_THROW(SanitizePhaseInto(packet, band, out, scratch),
+                 NumericalError);
+  }
+}
+
+// SanitizePhaseInto writes the header and every CSI cell itself: a slot
+// holding another packet (of the same or another shape) ends up equal to
+// a freshly sanitized copy.
+TEST(Sanitize, IntoReusedSlotMatchesFreshCopy) {
+  const auto band = wifi::BandPlan::Intel5300Channel11();
+  Rng rng(99);
+  SanitizeScratch scratch;
+  wifi::CsiPacket slot;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const auto packet = RandomPacket(rng, 1 + (i / 2) % 3, band, i + 1);
+    const auto fresh = SanitizePhase(packet, band);
+    SanitizePhaseInto(packet, band, slot, scratch);
+    EXPECT_EQ(slot.timestamp_s, packet.timestamp_s);
+    EXPECT_EQ(slot.rssi_db, packet.rssi_db);
+    EXPECT_EQ(slot.sequence, packet.sequence);
+    ASSERT_EQ(slot.NumAntennas(), packet.NumAntennas());
+    ASSERT_EQ(slot.NumSubcarriers(), packet.NumSubcarriers());
+    for (std::size_t m = 0; m < packet.NumAntennas(); ++m) {
+      for (std::size_t k = 0; k < band.NumSubcarriers(); ++k) {
+        EXPECT_EQ(slot.csi.At(m, k), fresh.csi.At(m, k));
+      }
     }
   }
 }

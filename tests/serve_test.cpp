@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/detector.h"
 #include "experiments/scenario.h"
+#include "obs/metrics.h"
 #include "serve/serve.h"
 #include "serve/spsc_ring.h"
 
@@ -329,6 +330,41 @@ TEST(ServeEviction, CapacityEvictsLruAndReadmitsFreely) {
   EXPECT_EQ(stats[0].links_evicted, 2u);
   EXPECT_EQ(stats[0].links_readmitted, 1u);
   EXPECT_GT(stats[0].decisions, decisions_before);
+}
+
+// Evicted links' engine counters stay in ServeCore::AggregateMetrics: under
+// roster churn the aggregated decisions and frames equal the shard totals.
+TEST(ServeEviction, AggregateMetricsKeepEvictedLinks) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  auto& f = Fixture();
+  const auto streams = f.Streams(6, 15);
+
+  serve::ServeConfig config;
+  config.num_shards = 2;
+  config.queue_capacity = 64;
+  config.policy = serve::BackPressure::kBlock;
+  config.max_resident_per_shard = 1;
+  config.stream = f.Stream();
+  serve::ServeCore core(config);
+  const auto profile = core.RegisterProfile(f.detector, f.empty_scores);
+  core.Start();
+  for (std::size_t l = 0; l < streams.size(); ++l) {
+    for (const auto& packet : streams[l]) core.Submit(l, profile, packet);
+    core.Drain();
+  }
+  core.Stop();
+
+  std::uint64_t decisions = 0, processed = 0, evicted = 0;
+  for (const auto& s : core.Stats()) {
+    decisions += s.decisions;
+    processed += s.frames_processed;
+    evicted += s.links_evicted;
+  }
+  ASSERT_GT(evicted, 0u);
+  const auto metrics = core.AggregateMetrics();
+  EXPECT_EQ(metrics.Get(obs::Counter::kDecisions), decisions);
+  EXPECT_EQ(metrics.Get(obs::Counter::kPacketsIngested), processed);
+  EXPECT_EQ(metrics.Get(obs::Counter::kLinksEvicted), evicted);
 }
 
 TEST(ServeEviction, QuarantineStormEvictsWithOwnFrameCooldown) {
