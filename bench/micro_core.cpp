@@ -295,7 +295,7 @@ struct EngineRow {
   double engine_metrics_allocs = 0.0;
 };
 
-// Replays StreamingDetector's ring discipline over a batch so the legacy and
+// Replays the engine's ring discipline over a batch so the legacy and
 // scratch columns pay the same window-assembly cost the engine pays
 // internally. Fill state persists across passes: after the first pass every
 // pass emits batch.size() / hop decisions.

@@ -352,11 +352,11 @@ void LinkCalibrator::ApplySwap(Detector& detector) {
   // and re-apply the calibrated threshold margin relative to it.
   double rebased = 0.0;
   if (staged_count_ >= 2) {
-    const std::span<const wifi::CsiPacket> staged(staged_.data(),
-                                                  staged_count_);
-    rebased = detector.UsesSanitizedInput()
-                  ? detector.ScoreSanitized(staged, swap_scratch_)
-                  : detector.Score(staged, swap_scratch_);
+    Detector::Window staged;
+    staged.packets =
+        std::span<const wifi::CsiPacket>(staged_.data(), staged_count_);
+    staged.sanitized = detector.UsesSanitizedInput();
+    rebased = detector.Score(staged, swap_scratch_);
   }
   // Clamp the rebased level to [1, 1.5]x the calibration-time quiet mean.
   // The floor: staged packets are in-sample for the profile just fit to

@@ -63,8 +63,8 @@ namespace mulink::core {
 using LadderState = nic::CalibrationLadder;
 
 struct CalibrationConfig {
-  // Master switch. Off: the LinkCalibrator is inert and the legacy
-  // flag-only watchdog in GuardedIngest keeps sole ownership of
+  // Master switch. Off: the LinkCalibrator is inert and the engine's
+  // flag-only drift watchdog keeps sole ownership of
   // LinkHealth::profile_drift.
   bool enabled = false;
 
@@ -304,9 +304,9 @@ struct CalibrationWindowContext {
 
 // Per-link calibration state: both posteriors, the staged quiet-packet ring
 // for the angular refresh, and the recalibration ladder. Owned by
-// StreamingDetector and SensingEngine's LinkState exactly like
-// GuardedIngest, and driven with identical inputs on both paths, so batch
-// and streaming adaptation stay bit-identical.
+// SensingEngine's LinkState next to its guarded-ingest state and driven
+// once per decision, so batch and packet-at-a-time ingest adapt
+// bit-identically.
 class LinkCalibrator {
  public:
   LinkCalibrator() = default;
@@ -363,7 +363,7 @@ class LinkCalibrator {
   void Reset(const Detector& detector);
 
   // Observability shard of the owning link (null = no-op sink), re-pointed
-  // by the owner every push exactly like GuardedIngest::metrics.
+  // by the owner every push, like the link's guarded-ingest shard.
   obs::Registry* metrics = nullptr;
 
  private:

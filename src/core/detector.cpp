@@ -154,75 +154,76 @@ double Detector::Score(const std::vector<wifi::CsiPacket>& window) const {
 
 double Detector::Score(std::span<const wifi::CsiPacket> window,
                        DetectorScratch& scratch) const {
-  MULINK_REQUIRE(!window.empty(), "Detector::Score: empty window");
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
+  Window raw;
+  raw.packets = window;
+  return Score(raw, scratch);
+}
+
+double Detector::Score(const Window& window, DetectorScratch& scratch) const {
+  const bool baseline = config_.scheme == DetectionScheme::kBaseline;
+  const std::size_t packets =
+      !window.packets.empty() ? window.packets.size()
+      : baseline              ? window.baseline_scores.size()
+                              : window.mu_rows.size();
+  MULINK_REQUIRE(packets > 0, "Detector::Score: empty window");
+  MULINK_REQUIRE(window.packets.empty() ||
+                     (window.packets[0].NumAntennas() == num_antennas_ &&
+                      window.packets[0].NumSubcarriers() == num_subcarriers_),
                  "Detector::Score: window dimensions mismatch calibration");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, FullAntennaMask());
-  }
-  {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-    SanitizePhaseInto(window, band_, scratch.sanitized, scratch.sanitize);
-  }
-  return DispatchSanitized(std::span<const wifi::CsiPacket>(scratch.sanitized),
-                           scratch, nullptr);
-}
-
-double Detector::ScoreSanitized(std::span<const wifi::CsiPacket> window,
-                                DetectorScratch& scratch) const {
-  MULINK_REQUIRE(!window.empty(), "Detector::ScoreSanitized: empty window");
+  const std::uint32_t live_mask = window.live_mask & FullAntennaMask();
+  MULINK_REQUIRE(live_mask != 0, "Detector::Score: no live antennas");
+  const bool full_mask = live_mask == FullAntennaMask();
+  const auto fits = [packets](std::size_t size) {
+    return size == 0 || size == packets;
+  };
+  MULINK_REQUIRE(fits(window.mu_rows.size()) &&
+                     window.mu_medians.size() == window.mu_rows.size() &&
+                     fits(window.csi_slabs.size()) &&
+                     fits(window.power_rows.size()) &&
+                     fits(window.baseline_scores.size()),
+                 "Detector::Score: cache/window size mismatch");
+  MULINK_REQUIRE(window.baseline_scores.empty() || full_mask,
+                 "Detector::Score: baseline cache is full-mask only");
+  const bool combined =
+      config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting;
+  MULINK_REQUIRE(!combined || window.fallback || full_mask,
+                 "Detector::Score: the angular statistic needs every antenna");
+  // Without packets, the requested statistic must be fully cached (the
+  // size check above already asks the same of the mu rows and the
+  // baseline distances).
+  const bool power_statistic = !baseline && (!combined || window.fallback);
   MULINK_REQUIRE(
-      window[0].NumAntennas() == num_antennas_ &&
-          window[0].NumSubcarriers() == num_subcarriers_,
-      "Detector::ScoreSanitized: window dimensions mismatch calibration");
+      !window.packets.empty() || baseline ||
+          !(power_statistic ? window.power_rows : window.csi_slabs).empty(),
+      "Detector::Score: window packets needed without caches");
   MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
+  if (baseline) {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, FullAntennaMask());
+    return ScoreBaseline(window, live_mask);
   }
-  return DispatchSanitized(window, scratch, nullptr);
-}
-
-double Detector::ScoreSanitizedPrepared(
-    std::span<const wifi::CsiPacket> window,
-    const PreparedWindowFactors& factors, DetectorScratch& scratch) const {
-  // With ingest-cached slabs (combined scheme) or power rows (subcarrier
-  // and variance schemes) the score never touches the window packets, so
-  // the caller may pass an empty window span.
-  const bool power_scheme =
-      config_.scheme == DetectionScheme::kSubcarrierWeighting ||
-      config_.scheme == DetectionScheme::kVarianceMobile;
-  const bool cached_window =
-      window.empty() &&
-      ((config_.scheme == DetectionScheme::kSubcarrierAndPathWeighting &&
-        !factors.csi_slabs.empty()) ||
-       (power_scheme && !factors.power_rows.empty()));
-  const std::size_t window_packets =
-      cached_window ? factors.mu_rows.size() : window.size();
-  MULINK_REQUIRE(window_packets > 0,
-                 "Detector::ScoreSanitizedPrepared: empty window");
-  MULINK_REQUIRE(cached_window ||
-                     (window[0].NumAntennas() == num_antennas_ &&
-                      window[0].NumSubcarriers() == num_subcarriers_),
-                 "Detector::ScoreSanitizedPrepared: window dimensions "
-                 "mismatch calibration");
-  MULINK_REQUIRE(factors.mu_rows.size() == window_packets &&
-                     factors.medians.size() == window_packets &&
-                     (factors.csi_slabs.empty() ||
-                      factors.csi_slabs.size() == window_packets) &&
-                     (factors.power_rows.empty() ||
-                      factors.power_rows.size() == window_packets),
-                 "Detector::ScoreSanitizedPrepared: factors/window size "
-                 "mismatch");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, FullAntennaMask());
+  std::span<const wifi::CsiPacket> sanitized = window.packets;
+  if (!window.sanitized && !sanitized.empty()) {
+    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
+    SanitizePhaseInto(window.packets, band_, scratch.sanitized,
+                      scratch.sanitize);
+    sanitized = scratch.sanitized;
   }
-  return DispatchSanitized(window, scratch, &factors);
+  switch (config_.scheme) {
+    case DetectionScheme::kBaseline:
+      break;  // scored above
+    case DetectionScheme::kSubcarrierWeighting:
+      return ScoreSubcarrierWeighting(sanitized, window, live_mask, scratch);
+    case DetectionScheme::kSubcarrierAndPathWeighting:
+      // MUSIC needs the full ULA; with a dead chain the angular statistic
+      // is meaningless, so the fallback is subcarrier-only weighting over
+      // the live rows (decisions use fallback_threshold()).
+      return window.fallback ? ScoreSubcarrierWeighting(sanitized, window,
+                                                        live_mask, scratch)
+                             : ScoreCombined(sanitized, window, scratch);
+    case DetectionScheme::kVarianceMobile:
+      return ScoreVarianceMobile(sanitized, window, live_mask, scratch);
+  }
+  return 0.0;
 }
 
 std::uint32_t Detector::FullAntennaMask() const {
@@ -230,94 +231,12 @@ std::uint32_t Detector::FullAntennaMask() const {
                              : ((1u << num_antennas_) - 1u);
 }
 
-double Detector::ScoreDegraded(std::span<const wifi::CsiPacket> window,
-                               DetectorScratch& scratch,
-                               std::uint32_t live_mask) const {
-  MULINK_REQUIRE(!window.empty(), "Detector::ScoreDegraded: empty window");
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::ScoreDegraded: window dimensions mismatch "
-                 "calibration");
-  MULINK_REQUIRE((live_mask & FullAntennaMask()) != 0,
-                 "Detector::ScoreDegraded: no live antennas");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, live_mask);
-  }
-  {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kIngestSanitize);
-    SanitizePhaseInto(window, band_, scratch.sanitized, scratch.sanitize);
-  }
-  return DispatchSanitizedDegraded(
-      std::span<const wifi::CsiPacket>(scratch.sanitized), scratch,
-      live_mask);
-}
-
-double Detector::ScoreSanitizedDegraded(
-    std::span<const wifi::CsiPacket> window, DetectorScratch& scratch,
-    std::uint32_t live_mask) const {
-  MULINK_REQUIRE(!window.empty(),
-                 "Detector::ScoreSanitizedDegraded: empty window");
-  MULINK_REQUIRE(window[0].NumAntennas() == num_antennas_ &&
-                     window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::ScoreSanitizedDegraded: window dimensions "
-                 "mismatch calibration");
-  MULINK_REQUIRE((live_mask & FullAntennaMask()) != 0,
-                 "Detector::ScoreSanitizedDegraded: no live antennas");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  if (config_.scheme == DetectionScheme::kBaseline) {
-    MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-    return ScoreBaseline(window, live_mask);
-  }
-  return DispatchSanitizedDegraded(window, scratch, live_mask);
-}
-
-double Detector::DispatchSanitizedDegraded(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask) const {
-  switch (config_.scheme) {
-    case DetectionScheme::kBaseline:
-      break;  // handled by the callers above
-    case DetectionScheme::kSubcarrierWeighting:
-      return ScoreSubcarrierWeighting(sanitized, scratch, live_mask, nullptr);
-    case DetectionScheme::kSubcarrierAndPathWeighting:
-      // MUSIC needs the full 3-element ULA; with a dead chain the angular
-      // statistic is meaningless, so fall back to subcarrier-only
-      // weighting over the live rows (decisions use fallback_threshold()).
-      return ScoreSubcarrierWeighting(sanitized, scratch, live_mask, nullptr);
-    case DetectionScheme::kVarianceMobile:
-      return ScoreVarianceMobile(sanitized, scratch, live_mask, nullptr);
-  }
-  return 0.0;
-}
-
-double Detector::DispatchSanitized(std::span<const wifi::CsiPacket> sanitized,
-                                   DetectorScratch& scratch,
-                                   const PreparedWindowFactors* prepared)
-    const {
-  switch (config_.scheme) {
-    case DetectionScheme::kBaseline:
-      break;  // handled by the callers above
-    case DetectionScheme::kSubcarrierWeighting:
-      return ScoreSubcarrierWeighting(sanitized, scratch, FullAntennaMask(),
-                                      prepared);
-    case DetectionScheme::kSubcarrierAndPathWeighting:
-      return ScoreCombined(sanitized, scratch, prepared);
-    case DetectionScheme::kVarianceMobile:
-      return ScoreVarianceMobile(sanitized, scratch, FullAntennaMask(),
-                                 prepared);
-  }
-  return 0.0;
-}
-
 void Detector::ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
-                                    DetectorScratch& scratch,
-                                    const PreparedWindowFactors* prepared)
-    const {
+                                    const Window& window,
+                                    DetectorScratch& scratch) const {
   MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kSubcarrierWeighting);
-  if (prepared != nullptr) {
-    ComputeSubcarrierWeightsInto(prepared->mu_rows, prepared->medians,
+  if (!window.mu_rows.empty()) {
+    ComputeSubcarrierWeightsInto(window.mu_rows, window.mu_medians,
                                  num_subcarriers_, config_.weighting_mode,
                                  scratch.weights);
   } else {
@@ -387,79 +306,16 @@ void Detector::CalibrateThreshold(
     std::vector<double> fallback_scores;
     // mulink-lint: allow(alloc): calibration path
     fallback_scores.reserve(empty_windows.size());
+    Window fallback;
+    fallback.fallback = true;
     for (const auto& w : empty_windows) {
-      fallback_scores.push_back(  // mulink-lint: allow(alloc): calibration path
-          ScoreDegraded(std::span<const wifi::CsiPacket>(w), scratch,
-                        FullAntennaMask()));
+      fallback.packets = w;
+      // mulink-lint: allow(alloc): calibration path
+      fallback_scores.push_back(Score(fallback, scratch));
     }
     fallback_threshold_ = dsp::Mean(fallback_scores) +
                           config_.threshold_sigma * dsp::StdDev(fallback_scores);
     fallback_threshold_set_ = true;
-  }
-}
-
-void Detector::UpdateProfile(const std::vector<wifi::CsiPacket>& empty_window,
-                             double alpha) {
-  MULINK_REQUIRE(alpha > 0.0 && alpha <= 1.0,
-                 "Detector::UpdateProfile: alpha must be in (0,1]");
-  MULINK_REQUIRE(!empty_window.empty(),
-                 "Detector::UpdateProfile: empty window");
-  MULINK_REQUIRE(empty_window[0].NumAntennas() == num_antennas_ &&
-                     empty_window[0].NumSubcarriers() == num_subcarriers_,
-                 "Detector::UpdateProfile: window shape mismatch");
-  const auto sanitized = SanitizePhase(empty_window, band_);
-
-  double power_sum = 0.0, amp_sum = 0.0;
-  std::vector<double> powers(sanitized.size());
-  for (std::size_t m = 0; m < num_antennas_; ++m) {
-    for (std::size_t k = 0; k < num_subcarriers_; ++k) {
-      double mean_power = 0.0, mean_amp = 0.0;
-      for (std::size_t i = 0; i < sanitized.size(); ++i) {
-        powers[i] = sanitized[i].SubcarrierPower(m, k);
-        mean_power += powers[i];
-        mean_amp += std::sqrt(powers[i]);
-      }
-      mean_power /= static_cast<double>(sanitized.size());
-      mean_amp /= static_cast<double>(sanitized.size());
-      profile_power_[m][k] =
-          (1.0 - alpha) * profile_power_[m][k] + alpha * mean_power;
-      profile_amplitude_[m][k] =
-          (1.0 - alpha) * profile_amplitude_[m][k] + alpha * mean_amp;
-      if (sanitized.size() >= 2) {
-        profile_variance_[m][k] =
-            (1.0 - alpha) * profile_variance_[m][k] +
-            alpha * dsp::Variance(powers);
-      }
-      power_sum += profile_power_[m][k];
-      amp_sum += profile_amplitude_[m][k];
-    }
-  }
-  profile_scale_power_ =
-      power_sum / static_cast<double>(num_antennas_ * num_subcarriers_);
-  profile_scale_amplitude_ =
-      amp_sum / static_cast<double>(num_antennas_ * num_subcarriers_);
-  profile_epoch_ = NextProfileVersion();
-
-  // Rotate a slice of the retained calibration packets (oldest first) so the
-  // combined scheme's angular profile follows the environment.
-  if (!retained_calibration_.empty()) {
-    const std::size_t replace = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               alpha * static_cast<double>(retained_calibration_.size())));
-    for (std::size_t i = 0; i < replace && i < sanitized.size(); ++i) {
-      retained_calibration_[retained_rotation_ %
-                            retained_calibration_.size()] = sanitized[i];
-      ++retained_rotation_;
-    }
-    profile_version_ = NextProfileVersion();
-    if (num_antennas_ >= 2) {
-      static_spectrum_ =
-          ComputeMusicSpectrum(retained_calibration_, array_, band_,
-                               config_.music)
-              .Smoothed(config_.spectrum_smoothing_deg);
-      path_weights_ = ComputePathWeights(static_spectrum_,
-                                         config_.path_weighting);
-    }
   }
 }
 
@@ -525,7 +381,7 @@ void Detector::RefreshAngularProfile(
       std::min(staged.size(), retained_calibration_.size());
   for (std::size_t i = 0; i < rotate; ++i) {
     // Copy-assign reuses the slot's CSI buffer; the rotation cursor keeps
-    // replacing the oldest retained packets first, like UpdateProfile.
+    // replacing the oldest retained packets first.
     retained_calibration_[retained_rotation_ %
                           retained_calibration_.size()] = staged[i];
     ++retained_rotation_;
@@ -539,7 +395,7 @@ void Detector::RefreshAngularProfile(
       ComputePathWeights(static_spectrum_, config_.path_weighting);
 }
 
-double Detector::ScoreBaseline(std::span<const wifi::CsiPacket> window,
+double Detector::ScoreBaseline(const Window& window,
                                std::uint32_t live_mask) const {
   // The paper's baseline is the naive per-packet Euclidean distance of CSI
   // amplitudes against the profile (the prior-work recipe its evaluation
@@ -548,10 +404,18 @@ double Detector::ScoreBaseline(std::span<const wifi::CsiPacket> window,
   // this baseline loses weak/faraway targets. The statistic is a
   // per-antenna average, so restricting it to the live rows of a degraded
   // window preserves its scale (and the calibrated threshold).
-  const std::size_t live = static_cast<std::size_t>(
-      std::popcount(live_mask & FullAntennaMask()));
+  const double live = static_cast<double>(std::popcount(live_mask));
   double score = 0.0;
-  for (const auto& packet : window) {
+  if (!window.baseline_scores.empty()) {
+    // Ingest-cached full-mask packet distances: the same accumulation
+    // order and divisors as the packet walk below, so the fold is
+    // bit-identical.
+    for (const double packet_score : window.baseline_scores) {
+      score += packet_score / live;
+    }
+    return score / static_cast<double>(window.baseline_scores.size());
+  }
+  for (const auto& packet : window.packets) {
     double packet_score = 0.0;
     for (std::size_t m = 0; m < num_antennas_; ++m) {
       if (((live_mask >> m) & 1u) == 0) continue;
@@ -564,16 +428,16 @@ double Detector::ScoreBaseline(std::span<const wifi::CsiPacket> window,
       }
       packet_score += std::sqrt(sum_sq);
     }
-    score += packet_score / static_cast<double>(live);
+    score += packet_score / live;
   }
-  return score / static_cast<double>(window.size());
+  return score / static_cast<double>(window.packets.size());
 }
 
 double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
   // Exactly one full-mask iteration of ScoreBaseline's packet loop: the
   // antennas accumulate in index order and the per-antenna subcarrier walk
-  // is unchanged, so folding these values with ScoreBaselinePrepared below
-  // reproduces ScoreBaseline bit for bit. The walk reads the packet's
+  // is unchanged, so ScoreBaseline's fold of these values reproduces its
+  // packet walk bit for bit. The walk reads the packet's
   // contiguous antenna-major cells directly.
   MULINK_REQUIRE(packet.NumAntennas() == num_antennas_ &&
                      packet.NumSubcarriers() == num_subcarriers_,
@@ -594,24 +458,6 @@ double Detector::BaselinePacketScore(const wifi::CsiPacket& packet) const {
   return packet_score;
 }
 
-double Detector::ScoreBaselinePrepared(std::span<const double> packet_scores,
-                                       DetectorScratch& scratch) const {
-  MULINK_REQUIRE(config_.scheme == DetectionScheme::kBaseline,
-                 "Detector::ScoreBaselinePrepared: baseline scheme only");
-  MULINK_REQUIRE(!packet_scores.empty(),
-                 "Detector::ScoreBaselinePrepared: empty window");
-  MULINK_OBS_COUNT(scratch.metrics, kWindowsScored);
-  MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kScore);
-  // Same accumulation order and divisors as the full-mask ScoreBaseline
-  // (live == num_antennas_ there), so the fold is bit-identical.
-  const double live = static_cast<double>(num_antennas_);
-  double score = 0.0;
-  for (const double packet_score : packet_scores) {
-    score += packet_score / live;
-  }
-  return score / static_cast<double>(packet_scores.size());
-}
-
 void Detector::PowerRowInto(const wifi::CsiPacket& packet, double* row) {
   const Complex* cell = packet.csi.raw();
   const std::size_t cells = packet.NumAntennas() * packet.NumSubcarriers();
@@ -619,11 +465,9 @@ void Detector::PowerRowInto(const wifi::CsiPacket& packet, double* row) {
 }
 
 std::span<const double* const> Detector::WindowPowerRows(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    const PreparedWindowFactors* prepared) const {
-  if (prepared != nullptr && !prepared->power_rows.empty()) {
-    return prepared->power_rows;
-  }
+    std::span<const wifi::CsiPacket> sanitized, const Window& window,
+    DetectorScratch& scratch) const {
+  if (!window.power_rows.empty()) return window.power_rows;
   const std::size_t cells = num_antennas_ * num_subcarriers_;
   // mulink-lint: allow(alloc): warm scratch; capacity sticks after first window
   scratch.power_block.resize(sanitized.size() * cells);
@@ -709,9 +553,9 @@ void Detector::FoldPowerRows(std::span<const double* const> rows,
 }
 
 double Detector::ScoreSubcarrierWeighting(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
-  ComputeWindowWeights(sanitized, scratch, prepared);
+    std::span<const wifi::CsiPacket> sanitized, const Window& window,
+    std::uint32_t live_mask, DetectorScratch& scratch) const {
+  ComputeWindowWeights(sanitized, window, scratch);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
   const auto& weights = scratch.weights;
 
@@ -725,7 +569,7 @@ double Detector::ScoreSubcarrierWeighting(
   // the dead rows (a silent chain reads as a full-profile deviation).
   const std::size_t live = static_cast<std::size_t>(
       std::popcount(live_mask & FullAntennaMask()));
-  FoldPowerRows(WindowPowerRows(sanitized, scratch, prepared), live_mask,
+  FoldPowerRows(WindowPowerRows(sanitized, window, scratch), live_mask,
                 /*spread=*/false, scratch);
   double score = 0.0;
   for (std::size_t m = 0; m < num_antennas_; ++m) {
@@ -749,13 +593,13 @@ double Detector::ScoreSubcarrierWeighting(
 }
 
 double Detector::ScoreVarianceMobile(
-    std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-    std::uint32_t live_mask, const PreparedWindowFactors* prepared) const {
+    std::span<const wifi::CsiPacket> sanitized, const Window& window,
+    std::uint32_t live_mask, DetectorScratch& scratch) const {
   const std::size_t packets =
-      prepared != nullptr ? prepared->mu_rows.size() : sanitized.size();
+      window.mu_rows.empty() ? sanitized.size() : window.mu_rows.size();
   MULINK_REQUIRE(packets >= 2,
                  "Detector: variance statistic needs >= 2 packets");
-  ComputeWindowWeights(sanitized, scratch, prepared);
+  ComputeWindowWeights(sanitized, window, scratch);
   MULINK_OBS_STAGE_TIMER(score_timer, scratch.metrics, kScore);
   const auto& weights = scratch.weights;
   const double uniform = 1.0 / static_cast<double>(num_subcarriers_);
@@ -768,7 +612,7 @@ double Detector::ScoreVarianceMobile(
   // for a MAD-based estimate that one interference burst cannot inflate;
   // both are normalized like Delta_s so one global threshold works across
   // links.
-  FoldPowerRows(WindowPowerRows(sanitized, scratch, prepared), live_mask,
+  FoldPowerRows(WindowPowerRows(sanitized, window, scratch), live_mask,
                 /*spread=*/true, scratch);
   double score = 0.0;
   for (std::size_t m = 0; m < num_antennas_; ++m) {
@@ -789,11 +633,11 @@ double Detector::ScoreVarianceMobile(
 }
 
 double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
-                               DetectorScratch& scratch,
-                               const PreparedWindowFactors* prepared) const {
+                               const Window& window,
+                               DetectorScratch& scratch) const {
   MULINK_REQUIRE(num_antennas_ >= 2,
                  "Detector: combined scheme needs >= 2 antennas");
-  ComputeWindowWeights(sanitized, scratch, prepared);
+  ComputeWindowWeights(sanitized, window, scratch);
   const auto& weights = scratch.weights;
 
   // Same monitoring-stage subcarrier weights applied to both sides — valid
@@ -804,9 +648,9 @@ double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
   auto& profile_cov = scratch.profile_cov;
   {
     MULINK_OBS_STAGE_TIMER(timer, scratch.metrics, kMusicPathWeighting);
-    if (prepared != nullptr && !prepared->csi_slabs.empty()) {
+    if (!window.csi_slabs.empty()) {
       // Ingest-split slabs: same bytes, no per-window re-deinterleave.
-      SampleCovarianceSlabsInto(prepared->csi_slabs, num_antennas_,
+      SampleCovarianceSlabsInto(window.csi_slabs, num_antennas_,
                                 num_subcarriers_, weights.weights,
                                 monitor_cov, scratch.music);
     } else {
@@ -816,8 +660,8 @@ double Detector::ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
     // The profile side scores a *fixed* packet set against per-window
     // weights, so its per-subcarrier covariance stack is cached in the
     // workspace and only re-combined here; the full packet scan happens once
-    // per profile version (first window, or after UpdateProfile rotates the
-    // set).
+    // per profile version (first window, or after RefreshAngularProfile
+    // rotates the set).
     if (scratch.profile_version != profile_version_) {
       MULINK_OBS_COUNT(scratch.metrics, kProfileStackRebuilds);
       BuildSubcarrierCovarianceStack(

@@ -127,7 +127,8 @@ struct DetectorScratch {
   linalg::CMatrix profile_cov;
   // Per-subcarrier covariance stack of the detector's retained calibration
   // packets, rebuilt whenever `profile_version` falls behind the detector's
-  // profile (first use, UpdateProfile, or a different Detector instance).
+  // profile (first use, RefreshAngularProfile, or a different Detector
+  // instance).
   // Amortizes the profile-side covariance scan across windows: a warm
   // scratch combines the stack with the window's subcarrier weights in
   // O(subcarriers * antennas^2) instead of re-scanning every packet.
@@ -159,46 +160,53 @@ class Detector {
   MULINK_HOT double Score(std::span<const wifi::CsiPacket> window,
                           DetectorScratch& scratch) const;
 
-  // Score a window whose packets are already phase-sanitized (exactly as
-  // SanitizePhaseInto would produce them). Callers that ingest packets
-  // incrementally — SensingEngine — sanitize each packet once on arrival
-  // and score overlapping windows through this entry point, instead of
-  // re-sanitizing the whole window every hop. Bit-identical to Score on the
-  // raw window, because sanitization is a deterministic per-packet map.
-  MULINK_HOT double ScoreSanitized(std::span<const wifi::CsiPacket> window,
-                                   DetectorScratch& scratch) const;
+  // One monitoring window as the scorer sees it. Sanitization and every
+  // cache below are deterministic per-packet maps, so a window scored from
+  // sanitized packets or ingest caches is bit-identical to the same window
+  // scored raw. Incremental callers (SensingEngine) compute them once per
+  // packet on arrival instead of once per overlapping window.
+  struct Window {
+    // The window's packets, oldest first. May be empty when the caches
+    // below carry everything the requested statistic reads.
+    std::span<const wifi::CsiPacket> packets;
+    // `packets` are already phase-sanitized, exactly as SanitizePhaseInto
+    // produces them. The amplitude-only baseline reads raw packets and
+    // ignores the flag.
+    bool sanitized = false;
+    // Antennas that contribute (bit m = antenna m; bits past
+    // num_antennas() are ignored). Dead RX chains are scored around on the
+    // live rows; the schemes' statistics are per-antenna averages, so the
+    // scale (and the calibrated threshold) is preserved.
+    std::uint32_t live_mask = ~std::uint32_t{0};
+    // Score the combined scheme's fallback statistic (subcarrier-only
+    // weighting, compared against fallback_threshold()) instead of the
+    // angular one, which needs the full array. Required with a partial
+    // live_mask; CalibrateThreshold also scores it on full-mask windows.
+    // The other schemes have one statistic and ignore the flag.
+    bool fallback = false;
 
-  // Per-packet multipath factors prepared once at ingest (the engine fast
-  // path): mu_rows[m] points at packet m's num_subcarriers() factors and
-  // medians[m] is that row's cross-subcarrier median, both in window order.
-  // Like sanitization, mu extraction is a deterministic per-packet map, so
-  // caching it at ingest instead of re-deriving window_packets rows every
-  // hop changes no bits of the score.
-  struct PreparedWindowFactors {
+    // Optional ingest caches, one entry per window packet in window order;
+    // each is read when non-empty.
+    // Multipath factors of the sanitized packets: mu_rows[m] points at
+    // packet m's num_subcarriers() factors (MeasureMultipathFactorsInto)
+    // and mu_medians[m] is that row's median (MuRowMediansInto).
     std::span<const double* const> mu_rows;
-    std::span<const double> medians;
-    // Optional ingest-split CSI slabs, one per window packet (antenna-major
-    // re rows then im rows, exactly kernels::Deinterleave's bytes — see
-    // SampleCovarianceSlabsInto). When set, the combined scheme's monitor
-    // covariance reads these instead of the window packets, so the caller
-    // can skip materializing the window entirely (pass an empty window span
-    // to ScoreSanitizedPrepared). Ignored by the other schemes.
+    std::span<const double> mu_medians;
+    // Split-complex CSI slabs (antenna-major re rows then im rows, exactly
+    // kernels::Deinterleave's bytes; see SampleCovarianceSlabsInto) for the
+    // combined scheme's angular statistic.
     std::span<const double* const> csi_slabs;
-    // Optional ingest-cached power rows, one per window packet (see
-    // PowerRowInto). When set, the subcarrier and variance schemes fold
-    // their window statistic from these rows instead of the window
-    // packets, so the caller may pass an empty window span to
-    // ScoreSanitizedPrepared. Ignored by the other schemes.
+    // Power rows (PowerRowInto) for the subcarrier-weighting statistic
+    // (the combined scheme's fallback included) and the variance one.
     std::span<const double* const> power_rows;
+    // Baseline packet distances (BaselinePacketScore) under the current
+    // profile_epoch(); full-mask windows only.
+    std::span<const double> baseline_scores;
   };
 
-  // ScoreSanitized with ingest-prepared multipath factors. Bit-identical to
-  // ScoreSanitized on the same window when the factors match what
-  // MeasureMultipathFactorsInto / MuRowMediansInto (and PowerRowInto)
-  // produce for its packets.
-  MULINK_HOT double ScoreSanitizedPrepared(
-      std::span<const wifi::CsiPacket> window,
-      const PreparedWindowFactors& factors, DetectorScratch& scratch) const;
+  // The one scoring implementation behind every Score overload.
+  MULINK_HOT double Score(const Window& window,
+                          DetectorScratch& scratch) const;
 
   // One packet's power row: row[m * subcarriers + k] = std::norm of CSI
   // cell (m, k), antenna-major — a deterministic per-packet map of the
@@ -209,40 +217,16 @@ class Detector {
   // Per-packet contribution to the baseline statistic: the full-mask inner
   // body of ScoreBaseline (sum over antennas of the normalized amplitude
   // distance to the profile). A deterministic per-packet map of the RAW
-  // packet, so ingest paths cache one double per ring slot and fold the
-  // window's statistic with ScoreBaselinePrepared instead of re-walking
-  // window_packets x antennas x subcarriers every hop. Values are tied to
-  // profile_epoch(): a profile rewrite invalidates them.
+  // packet, so ingest paths cache one double per ring slot and hand the
+  // window's values to Score as Window::baseline_scores instead of
+  // re-walking window_packets x antennas x subcarriers every hop. Values
+  // are tied to profile_epoch(): a profile rewrite invalidates them.
   MULINK_HOT double BaselinePacketScore(const wifi::CsiPacket& packet) const;
 
-  // Fold ingest-cached per-packet baseline scores (window order) into the
-  // window statistic. Bit-identical to Score on the same raw window when
-  // every entry equals BaselinePacketScore of its packet under the current
-  // profile epoch. Baseline scheme only.
-  double ScoreBaselinePrepared(std::span<const double> packet_scores,
-                               DetectorScratch& scratch) const;
-
   // Monotonic epoch of the amplitude profile the baseline statistic reads;
-  // bumped by Calibrate, UpdateProfile and ApplyProfile. Caches of
-  // BaselinePacketScore stamped with an older epoch must recompute.
+  // bumped by Calibrate and ApplyProfile. Caches of BaselinePacketScore
+  // stamped with an older epoch must recompute.
   std::uint64_t profile_epoch() const { return profile_epoch_; }
-
-  // Degraded-mode statistic for windows with dead RX chains: only the
-  // antennas set in `live_mask` (bit m = antenna m) contribute. The
-  // combined scheme always falls back to subcarrier-only weighting here —
-  // MUSIC needs the full ULA — and its decisions compare against
-  // fallback_threshold(); the other schemes score their own statistic over
-  // the live rows and keep their primary threshold (their score is a
-  // per-antenna average, so the scale is preserved). For those schemes a
-  // full live_mask is bit-identical to Score.
-  double ScoreDegraded(std::span<const wifi::CsiPacket> window,
-                       DetectorScratch& scratch,
-                       std::uint32_t live_mask) const;
-
-  // Degraded scoring of an already-sanitized window (engine ingest path).
-  MULINK_HOT double ScoreSanitizedDegraded(
-      std::span<const wifi::CsiPacket> window, DetectorScratch& scratch,
-      std::uint32_t live_mask) const;
 
   // Whether Score sanitizes its input (every scheme except the baseline,
   // which is amplitude-only). When false, callers must not pre-sanitize —
@@ -267,10 +251,10 @@ class Detector {
   double threshold() const { return threshold_; }
   bool has_threshold() const { return threshold_set_; }
 
-  // Threshold for ScoreDegraded decisions. CalibrateThreshold derives it
-  // from the same empty windows when the scheme is the combined one (whose
-  // fallback statistic lives on a different scale); every other scheme
-  // shares the primary threshold.
+  // Threshold for fallback-statistic decisions (Window::fallback).
+  // CalibrateThreshold derives it from the same empty windows when the
+  // scheme is the combined one (whose fallback statistic lives on a
+  // different scale); every other scheme shares the primary threshold.
   void SetFallbackThreshold(double threshold) {
     fallback_threshold_ = threshold;
     fallback_threshold_set_ = true;
@@ -283,16 +267,6 @@ class Detector {
   // mean + threshold_sigma * std of their scores.
   void CalibrateThreshold(
       const std::vector<std::vector<wifi::CsiPacket>>& empty_windows);
-
-  // Closed-loop drift compensation for long deployments: blend a window the
-  // deployment believes is empty (e.g. HMM posterior ~0 for minutes) into
-  // the static profile with EWMA weight alpha. Keeps slow AGC/TX-power and
-  // furniture drift from inflating false positives between manual
-  // recalibrations (the paper's campaign spanned two weeks). A subset of
-  // the retained calibration packets is rotated out so the combined
-  // scheme's angular profile tracks too.
-  void UpdateProfile(const std::vector<wifi::CsiPacket>& empty_window,
-                     double alpha = 0.05);
 
   // In-place recalibration entry points for core/calibration's ladder. Both
   // run between windows, never mid-score — the caller owns that contract.
@@ -332,31 +306,24 @@ class Detector {
   // All antennas usable (the non-degraded case; bit m = antenna m).
   std::uint32_t FullAntennaMask() const;
 
-  double ScoreBaseline(std::span<const wifi::CsiPacket> window,
-                       std::uint32_t live_mask) const;
-  // The scheme bodies below take an already-sanitized window; only antennas
-  // in live_mask contribute (the full mask reproduces the clean statistic
-  // bit for bit).
-  double DispatchSanitized(std::span<const wifi::CsiPacket> sanitized,
-                           DetectorScratch& scratch,
-                           const PreparedWindowFactors* prepared) const;
-  double DispatchSanitizedDegraded(std::span<const wifi::CsiPacket> sanitized,
-                                   DetectorScratch& scratch,
-                                   std::uint32_t live_mask) const;
-  // Eq. 13–15 window weights into scratch.weights — from the prepared
+  // The scheme bodies below read the window's sanitized packets (or its
+  // caches); only antennas in live_mask contribute (the full mask
+  // reproduces the clean statistic bit for bit).
+  double ScoreBaseline(const Window& window, std::uint32_t live_mask) const;
+  // Eq. 13–15 window weights into scratch.weights — from the cached
   // per-packet factors when given, else measured from the sanitized window.
   void ComputeWindowWeights(std::span<const wifi::CsiPacket> sanitized,
-                            DetectorScratch& scratch,
-                            const PreparedWindowFactors* prepared) const;
+                            const Window& window,
+                            DetectorScratch& scratch) const;
   double ScoreSubcarrierWeighting(std::span<const wifi::CsiPacket> sanitized,
-                                  DetectorScratch& scratch,
+                                  const Window& window,
                                   std::uint32_t live_mask,
-                                  const PreparedWindowFactors* prepared) const;
-  // The window's power rows: the prepared ones when given, else filled
-  // into scratch from the sanitized packets in one pass.
+                                  DetectorScratch& scratch) const;
+  // The window's power rows: the cached ones when given, else filled into
+  // scratch from the sanitized packets in one pass.
   std::span<const double* const> WindowPowerRows(
-      std::span<const wifi::CsiPacket> sanitized, DetectorScratch& scratch,
-      const PreparedWindowFactors* prepared) const;
+      std::span<const wifi::CsiPacket> sanitized, const Window& window,
+      DetectorScratch& scratch) const;
   // Per-cell window statistic of the power rows into scratch.cell_stat,
   // for the antennas in live_mask: the level (median, or mean when
   // robust_window_aggregate is off) or the spread ((1.4826 MAD)^2, or the
@@ -365,11 +332,10 @@ class Detector {
                      std::uint32_t live_mask, bool spread,
                      DetectorScratch& scratch) const;
   double ScoreCombined(std::span<const wifi::CsiPacket> sanitized,
-                       DetectorScratch& scratch,
-                       const PreparedWindowFactors* prepared) const;
+                       const Window& window, DetectorScratch& scratch) const;
   double ScoreVarianceMobile(std::span<const wifi::CsiPacket> sanitized,
-                             DetectorScratch& scratch, std::uint32_t live_mask,
-                             const PreparedWindowFactors* prepared) const;
+                             const Window& window, std::uint32_t live_mask,
+                             DetectorScratch& scratch) const;
 
   wifi::BandPlan band_;
   wifi::UniformLinearArray array_;

@@ -10,6 +10,159 @@
 
 namespace mulink::core {
 
+namespace {
+
+// Profile-drift watchdog (StreamingConfig): a believed-empty window has a
+// posterior at or below kWatchdogEmptyPosterior; its score feeds an EWMA of
+// weight kWatchdogEwmaAlpha, and the flag trips once at least
+// kWatchdogMinWindows such windows were seen and the EWMA exceeds
+// kWatchdogScoreFraction x the detector's threshold.
+constexpr double kWatchdogEmptyPosterior = 0.2;
+constexpr double kWatchdogEwmaAlpha = 0.1;
+constexpr double kWatchdogScoreFraction = 0.9;
+constexpr std::size_t kWatchdogMinWindows = 8;
+
+// A link's frame guard plus its degraded-mode and watchdog state.
+struct GuardedIngest {
+  GuardedIngest() = default;
+  explicit GuardedIngest(const StreamingConfig& config) {
+    // mulink-lint: allow(alloc): ctor, setup path
+    if (config.guard_enabled) guard.emplace(config.guard);
+  }
+
+  // Inspect one arriving frame. nullopt means the frame is quarantined and
+  // must not reach the ring; otherwise the report's `resync` flag tells the
+  // caller to flush its ring before ingesting the frame.
+  std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet) {
+    MULINK_OBS_COUNT(metrics, kPacketsIngested);
+    if (!guard.has_value()) {
+      MULINK_OBS_COUNT(metrics, kPacketsAccepted);
+      return nic::FrameReport{};
+    }
+    // Per-frame latency is sampled 1-in-kIngestSampleEvery (deterministic
+    // tick, so totals merge bit-identically across shards); the verdict
+    // counters below stay exact.
+    obs::Registry* const timed = MULINK_OBS_SAMPLED(metrics);
+    nic::FrameReport report;
+    {
+      MULINK_OBS_STAGE_TIMER(timer, timed, kGuardClassify);
+      report = guard->Inspect(packet);
+    }
+    if (report.resync) MULINK_OBS_COUNT(metrics, kRingResyncs);
+    switch (report.verdict) {
+      case nic::FrameVerdict::kQuarantine:
+        MULINK_OBS_COUNT(metrics, kPacketsQuarantined);
+        break;
+      case nic::FrameVerdict::kRepair:
+        // Taint bookkeeping for the calibration ladder: a repaired frame in
+        // the hop disqualifies its window as quiet evidence, and a burst of
+        // RSSI-outlier repairs is the AGC fast re-baseline trigger.
+        ++repaired_since_decision;
+        if (report.Has(nic::FrameFault::kRssiOutlier)) {
+          ++agc_frames_since_decision;
+        }
+        MULINK_OBS_COUNT(metrics, kPacketsRepaired);
+        MULINK_OBS_COUNT(metrics, kPacketsAccepted);
+        break;
+      default:
+        MULINK_OBS_COUNT(metrics, kPacketsAccepted);
+        break;
+    }
+    if (report.verdict == nic::FrameVerdict::kQuarantine) return std::nullopt;
+    return report;
+  }
+
+  // All-antennas mask for a detector with `num_antennas` chains.
+  static std::uint32_t FullMask(std::size_t num_antennas) {
+    return num_antennas >= 32
+               ? 0xffffffffu
+               : ((1u << static_cast<std::uint32_t>(num_antennas)) - 1u);
+  }
+
+  // Live-antenna mask (FullMask when unguarded or nothing is dead).
+  std::uint32_t LiveMask(std::size_t num_antennas) const {
+    const std::uint32_t full = FullMask(num_antennas);
+    if (!guard.has_value()) return full;
+    return full & ~guard->dead_antenna_mask();
+  }
+
+  // Watchdog bookkeeping after a clean (non-degraded) decision.
+  void ObserveDecision(const PresenceDecision& decision,
+                       const Detector& detector) {
+    if (!guard.has_value()) return;
+    if (decision.posterior > kWatchdogEmptyPosterior) return;
+    if (empty_windows_seen == 0 && quiet_score_seed <= 0.0) {
+      // No calibration scores to seed from: cold start, the first
+      // believed-empty window sets the EWMA outright.
+      empty_score_ewma = decision.score;
+    } else {
+      // Seeded (at Bind and after Reset the EWMA already sits at the
+      // expected quiet score), so early windows blend instead of jumping —
+      // a reset cannot spuriously trip profile_drift on its first windows.
+      empty_score_ewma +=
+          kWatchdogEwmaAlpha * (decision.score - empty_score_ewma);
+    }
+    ++empty_windows_seen;
+    MULINK_OBS_GAUGE(metrics, kEmptyScoreEwma, empty_score_ewma);
+    if (detector.has_threshold() &&
+        empty_windows_seen >= kWatchdogMinWindows &&
+        empty_score_ewma > kWatchdogScoreFraction * detector.threshold()) {
+      profile_drift = true;
+    }
+  }
+
+  // Aggregate guard counters plus the degradation/watchdog fields.
+  nic::LinkHealth Health() const {
+    nic::LinkHealth health;
+    if (guard.has_value()) health = guard->health();
+    health.degraded = degraded;
+    health.degraded_decisions = degraded_decisions;
+    health.profile_drift = profile_drift;
+    health.empty_score_ewma = empty_score_ewma;
+    return health;
+  }
+
+  // Back to the just-bound state (guard counters included), so a reset
+  // link decides bit-identically to a fresh one fed the same tail. The
+  // metrics pointer is kept — the owning link resets its own registry.
+  void Reset() {
+    if (guard.has_value()) guard->Reset();
+    degraded = false;
+    degraded_decisions = 0;
+    empty_windows_seen = 0;
+    empty_score_ewma = quiet_score_seed;  // cold-start seed survives a reset
+    profile_drift = false;
+    repaired_since_decision = 0;
+    agc_frames_since_decision = 0;
+  }
+
+  // Observability shard (owned by the enclosing link). Admit mirrors the
+  // guard's accept/repair/quarantine tallies and ring resyncs into it, with
+  // the per-frame inspection latency sampled 1-in-kIngestSampleEvery; null
+  // is the no-op sink.
+  obs::Registry* metrics = nullptr;
+
+  std::optional<nic::FrameGuard> guard;
+  bool degraded = false;  // last decision used the fallback statistic
+  std::size_t degraded_decisions = 0;
+  std::size_t empty_windows_seen = 0;
+  double empty_score_ewma = 0.0;
+  bool profile_drift = false;
+  // Expected quiet score from the calibration empty scores (0 when none
+  // were provided). Seeds empty_score_ewma at Bind and on Reset so the
+  // first windows after a reset cannot spuriously trip profile_drift from
+  // a cold EWMA; with no seed the first-window hard set stays.
+  double quiet_score_seed = 0.0;
+  // Taint bookkeeping for the calibration ladder: repaired (flagged but
+  // usable) frames — and the subset carrying the RSSI-outlier AGC fault —
+  // admitted since the last emitted decision. The owner zeroes both after
+  // each decision.
+  std::size_t repaired_since_decision = 0;
+  std::size_t agc_frames_since_decision = 0;
+};
+
+}  // namespace
+
 struct SensingEngine::LinkState {
   // What a link's buffers are sized by. An evicted link's state stays
   // parked in its slot, and AddLink re-binds it to the next link of the
@@ -142,8 +295,7 @@ struct SensingEngine::LinkState {
       filter.emplace(*hmm);  // mulink-lint: allow(alloc): Bind, setup path
     }
     // Seed the drift watchdog's EWMA at the expected quiet score so the
-    // first windows after construction or Reset cannot spuriously trip the
-    // flag (mirrors StreamingDetector).
+    // first windows after Bind or Reset cannot spuriously trip the flag.
     if (!empty_scores.empty()) {
       ingest.quiet_score_seed = dsp::Mean(empty_scores);
       ingest.empty_score_ewma = ingest.quiet_score_seed;
@@ -166,12 +318,14 @@ struct SensingEngine::LinkState {
 
   const Detector& det() const { return *view; }
 
-  // Mirror of StreamingDetector::Push — same ring discipline, same HMM
-  // update — so batch and streaming decisions are bit-identical. The one
-  // deliberate difference: per-packet maps are computed ONCE on ingest
-  // (phase sanitize + multipath factors for sanitized schemes, the
-  // amplitude distance for the baseline), so overlapping windows reuse
-  // window-hop rows instead of re-deriving all window_packets of them.
+  // Feed one packet: guard it, write it into the ring and, when a window
+  // aligned to the hop completes, score it and update the belief. Every
+  // per-packet map is computed ONCE on ingest (phase sanitize, multipath
+  // factors, power rows or slabs for sanitized schemes, the amplitude
+  // distance for the baseline), so overlapping windows reuse window-hop
+  // rows instead of re-deriving all window_packets of them; a decision is
+  // bit-identical to Detector::Score on the window's last window_packets
+  // raw packets.
   std::optional<PresenceDecision> Push(const wifi::CsiPacket& packet) {
     const Detector& detector = det();
     obs::Registry* const sink = metrics_on ? &metrics : nullptr;
@@ -198,7 +352,7 @@ struct SensingEngine::LinkState {
       // Multipath factors and their median are per-packet maps of the
       // sanitized slot, so they ride the ring too: each hop's decision
       // reuses window-hop rows instead of re-deriving all window_packets
-      // of them (ScoreSanitizedPrepared is bit-identical to the
+      // of them (scoring from cached rows is bit-identical to the
       // recompute-per-window path on the same packets). The medians are
       // taken in batches at decision time (FlushMuMedians).
       MeasureMultipathFactorsInto(slot, detector.band(), MuRow(write_pos),
@@ -300,16 +454,26 @@ struct SensingEngine::LinkState {
         need_window ? std::span<const wifi::CsiPacket>(window)
                     : std::span<const wifi::CsiPacket>();
 
-    if (live_mask != full_mask && detector.has_threshold()) {
-      // Degraded mode: surviving antennas only, fallback threshold, HMM
-      // frozen (its emission model belongs to the primary statistic). The
-      // ring holds sanitized packets when pre_sanitize is on, so the
-      // degraded score matches StreamingDetector's bit for bit.
-      decision.score =
-          pre_sanitize
-              ? detector.ScoreSanitizedDegraded(window_span, *scratch,
-                                                live_mask)
-              : detector.ScoreDegraded(window_span, *scratch, live_mask);
+    // Degraded mode: surviving antennas only, fallback statistic and
+    // threshold, HMM frozen (its emission model belongs to the primary
+    // statistic).
+    const bool degraded = live_mask != full_mask && detector.has_threshold();
+    Detector::Window scored;
+    scored.packets = window_span;
+    scored.sanitized = pre_sanitize;
+    if (degraded) {
+      scored.live_mask = live_mask;
+      scored.fallback = true;
+    }
+    if (pre_sanitize) {
+      scored.mu_rows = mu_window;
+      scored.mu_medians = median_window;
+    }
+    if (slab_fast) scored.csi_slabs = soa_window;
+    if (rows_fast) scored.power_rows = power_window;
+    if (baseline_fast) scored.baseline_scores = baseline_window;
+    decision.score = detector.Score(scored, *scratch);
+    if (degraded) {
       decision.occupied = decision.score >= detector.fallback_threshold();
       decision.posterior = decision.occupied ? 1.0 : 0.0;
       decision.degraded = true;
@@ -317,24 +481,6 @@ struct SensingEngine::LinkState {
       ++ingest.degraded_decisions;
       MULINK_OBS_COUNT(sink, kDegradedDecisions);
     } else {
-      if (pre_sanitize) {
-        Detector::PreparedWindowFactors factors;
-        factors.mu_rows = std::span<const double* const>(mu_window);
-        factors.medians = std::span<const double>(median_window);
-        if (slab_fast) {
-          factors.csi_slabs = std::span<const double* const>(soa_window);
-        }
-        if (rows_fast) {
-          factors.power_rows = std::span<const double* const>(power_window);
-        }
-        decision.score =
-            detector.ScoreSanitizedPrepared(window_span, factors, *scratch);
-      } else if (baseline_fast) {
-        decision.score = detector.ScoreBaselinePrepared(
-            std::span<const double>(baseline_window), *scratch);
-      } else {
-        decision.score = detector.Score(window_span, *scratch);
-      }
       if (filter.has_value()) {
         MULINK_OBS_STAGE_TIMER(hmm_timer, sink, kHmmFilter);
         decision.posterior = filter->Update(decision.score);
@@ -348,7 +494,7 @@ struct SensingEngine::LinkState {
         decision.posterior = decision.occupied ? 1.0 : 0.0;
       }
       ingest.degraded = false;
-      ingest.ObserveDecision(decision, detector, config);
+      ingest.ObserveDecision(decision, detector);
     }
     if (calibrator.enabled()) {
       CalibrationWindowContext context;
@@ -358,17 +504,26 @@ struct SensingEngine::LinkState {
       // The ring already holds packets in the detector's expected
       // sanitization state (sanitized on ingest iff the scheme consumes
       // sanitized windows), so the posteriors learn from window_span
-      // directly — bit-identical to StreamingDetector's per-window copy.
-      // Calibration requires an owned detector (enforced in Bind).
+      // directly. Calibration requires an owned detector (enforced in
+      // Bind).
       calibrator.ObserveDecision(decision.score, decision.posterior,
                                  window_span, *owned_detector, context);
       if (hmm.has_value()) {
-        // Every-window emission refit from the live quiet posterior —
-        // same rationale and ordering as StreamingDetector (bit-identical
-        // flip points between the two paths).
+        // Pin the HMM's empty emission to the live quiet posterior every
+        // window, not just after a profile swap: the posterior absorbs
+        // slow drift online, so the filter's flip point moves with the
+        // link and the corridor between drift onset and the next swap
+        // stops charging false positives. On quiet windows this is a real
+        // update; otherwise the posterior (and hence the refit) is a
+        // no-op. The filter's temporal state rides through untouched, and
+        // step changes still go through the ladder — the posterior refuses
+        // to learn from windows the filter calls occupied, so a jump
+        // stalls this refit until the swap re-anchors the posterior.
         hmm->RefitEmptyEmission(calibrator.quiet_log_mean(),
                                 calibrator.quiet_log_sigma());
       }
+      // The ladder owns the drift flag when enabled — unlike the flag-only
+      // watchdog it can clear it again by recalibrating in place.
       ingest.profile_drift = calibrator.drift_flagged();
     }
     ingest.repaired_since_decision = 0;
@@ -411,8 +566,8 @@ struct SensingEngine::LinkState {
 
   // True when every cached baseline distance in the (full) ring was
   // computed against the detector's current amplitude profile. A ladder
-  // swap (ApplyProfile/UpdateProfile) bumps the epoch, which falls back to
-  // full window rescoring until the ring refills with fresh stamps.
+  // swap (ApplyProfile) bumps the epoch, which falls back to full window
+  // rescoring until the ring refills with fresh stamps.
   bool BaselineCacheFresh(std::uint64_t epoch) const {
     for (std::size_t i = 0; i < config.window_packets; ++i) {
       if (baseline_epoch_ring[i] != epoch) return false;
@@ -462,7 +617,7 @@ struct SensingEngine::LinkState {
   // Ingest-time multipath factors riding the packet ring (pre_sanitize
   // links only): MuRow(slot) / mu_median_ring[slot] belong to ring[slot];
   // mu_window / median_window are their window-ordered views for
-  // ScoreSanitizedPrepared.
+  // Detector::Window.
   std::vector<double> mu_ring;
   std::vector<double> mu_median_ring;
   std::vector<const double*> mu_window;
@@ -476,9 +631,8 @@ struct SensingEngine::LinkState {
   // Ingest-time split-complex slabs riding the ring (combined-scheme links
   // only): the slab at soa_slabs[slot * soa_stride] holds ring[slot]'s CSI
   // deinterleaved antenna-major (re rows then im rows), and soa_window is
-  // the window-ordered pointer view handed to ScoreSanitizedPrepared via
-  // PreparedWindowFactors. One flat block so the per-decision window read
-  // is a sequential stream.
+  // the window-ordered pointer view handed to Detector::Score. One flat
+  // block so the per-decision window read is a sequential stream.
   std::vector<double> soa_slabs;
   std::size_t soa_stride = 0;
   std::vector<const double*> soa_window;
@@ -631,13 +785,6 @@ std::optional<PresenceDecision> SensingEngine::ProcessPacket(
   LinkState& state = Link(link);
   state.metrics_on = metrics_enabled_;
   return state.Push(packet);
-}
-
-double SensingEngine::ScoreWindow(std::size_t link,
-                                  std::span<const wifi::CsiPacket> window) {
-  LinkState& state = Link(link);
-  state.scratch->metrics = metrics_enabled_ ? &state.metrics : nullptr;
-  return state.det().Score(window, *state.scratch);
 }
 
 bool SensingEngine::occupied(std::size_t link) const {

@@ -16,8 +16,11 @@
 // same config. Shared-detector links cannot run adaptive calibration (the
 // ladder mutates the detector in place); register an owned copy for that.
 //
-// Decision semantics are bit-identical to feeding the same packets one at a
-// time through StreamingDetector::Push (see core_engine_test).
+// Every decision is bit-identical to Detector::Score on the window's raw
+// packets (with the guard's live-antenna mask and the fallback statistic on
+// degraded windows), however the stream is split into batches; the golden
+// decision digests and the ingest-cache reference test in core_engine_test
+// pin this.
 #pragma once
 
 #include <cstddef>
@@ -107,11 +110,6 @@ class SensingEngine {
   // buffer. Returns a decision when this packet completed a window.
   MULINK_HOT std::optional<PresenceDecision> ProcessPacket(
       std::size_t link, const wifi::CsiPacket& packet);
-
-  // Score one window directly on the link's scratch, bypassing the ring
-  // (for offline session scoring on engine-owned buffers).
-  double ScoreWindow(std::size_t link,
-                     std::span<const wifi::CsiPacket> window);
 
   // Current belief per link (unoccupied before the first window).
   bool occupied(std::size_t link) const;

@@ -1,18 +1,16 @@
-// Streaming presence detection: packet-at-a-time ingestion with windowed
-// scoring and optional HMM temporal smoothing — the deployable wrapper
-// around Detector for live CSI feeds (50 packets/s in the paper's testbed).
+// Per-link streaming configuration and the decision record of
+// packet-at-a-time presence detection: windowed scoring with optional HMM
+// temporal smoothing, guarded ingest and adaptive calibration, as run by
+// SensingEngine (core/engine.h) for live CSI feeds (50 packets/s in the
+// paper's testbed).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
-#include "common/annotations.h"
 #include "core/calibration/calibration.h"
 #include "core/detector.h"
 #include "core/hmm.h"
 #include "nic/frame_guard.h"
-#include "obs/metrics.h"
 
 namespace mulink::core {
 
@@ -49,30 +47,28 @@ struct StreamingConfig {
   nic::FrameGuardConfig guard;
 
   // When the guard confirms a dead RX chain, keep deciding on the surviving
-  // antennas via Detector::ScoreDegraded (the combined scheme falls back to
-  // subcarrier-only weighting; MUSIC needs the full array). When false,
-  // decisions pause until the chain revives. Degraded decisions bypass the
-  // HMM — its emission model was fitted to the primary statistic — and the
-  // filter resumes, state intact, on recovery.
+  // antennas with the detector's fallback statistic (Detector::Window's
+  // live_mask and fallback; the combined scheme falls back to
+  // subcarrier-only weighting, since MUSIC needs the full array). When
+  // false, decisions pause until the chain revives. Degraded decisions
+  // bypass the HMM — its emission model was fitted to the primary
+  // statistic — and the filter resumes, state intact, on recovery.
   bool degraded_fallback = true;
 
-  // Profile-drift watchdog: an EWMA of scores over windows the detector
-  // itself believes are empty (posterior at or below this bound). When the
-  // EWMA of believed-empty scores climbs to a fraction of the decision
-  // threshold, the static profile s(0) no longer matches the quiet channel
-  // and LinkHealth::profile_drift flags that recalibration (or
-  // Detector::UpdateProfile) is due.
-  double watchdog_empty_posterior = 0.2;
-  double watchdog_ewma_alpha = 0.1;
-  double watchdog_score_fraction = 0.9;
-  std::size_t watchdog_min_windows = 8;
+  // Guarded links also run a profile-drift watchdog with fixed settings: an
+  // EWMA (weight 0.1) of the scores of clean windows the link itself
+  // believes are empty (posterior <= 0.2), seeded at the mean calibration
+  // empty score. Once 8 such windows were seen and the EWMA exceeds 0.9 x
+  // the detector's threshold, the static profile s(0) no longer matches the
+  // quiet channel and LinkHealth::profile_drift flags that recalibration is
+  // due.
 
   // Online Bayesian calibration (core/calibration): per-link posteriors
   // over the quiet profile and threshold plus the recalibration ladder
   // Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen. When
   // enabled, the ladder owns LinkHealth::profile_drift (it can clear the
-  // flag by recalibrating in place); the legacy watchdog above keeps
-  // feeding its EWMA either way. Off by default.
+  // flag by recalibrating in place); the watchdog above keeps feeding its
+  // EWMA either way. Off by default.
   CalibrationConfig calibration;
 };
 
@@ -84,131 +80,6 @@ struct PresenceDecision {
   // Decided on the degraded (dead-chain fallback) statistic against the
   // fallback threshold; posterior is the hard 0/1 of that comparison.
   bool degraded = false;
-};
-
-// Guard, degraded-mode and watchdog state shared by StreamingDetector and
-// SensingEngine's per-link state, so batch and streaming ingest stay
-// bit-identical under the same fault stream.
-struct GuardedIngest {
-  GuardedIngest() = default;
-  explicit GuardedIngest(const StreamingConfig& config) {
-    // mulink-lint: allow(alloc): ctor, setup path
-    if (config.guard_enabled) guard.emplace(config.guard);
-  }
-
-  // Inspect one arriving frame. nullopt means the frame is quarantined and
-  // must not reach the ring; otherwise the report's `resync` flag tells the
-  // caller to flush its ring before ingesting the frame.
-  std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet);
-
-  // All-antennas mask for a detector with `num_antennas` chains.
-  static std::uint32_t FullMask(std::size_t num_antennas);
-
-  // Live-antenna mask (FullMask when unguarded or nothing is dead).
-  std::uint32_t LiveMask(std::size_t num_antennas) const;
-
-  // Watchdog bookkeeping after a clean (non-degraded) decision.
-  void ObserveDecision(const PresenceDecision& decision,
-                       const Detector& detector,
-                       const StreamingConfig& config);
-
-  // Aggregate guard counters plus the degradation/watchdog fields.
-  nic::LinkHealth Health() const;
-
-  // Back to the just-constructed state (guard counters included), so a
-  // reset link decides bit-identically to a fresh one fed the same tail.
-  // The metrics pointer is kept — the owning link resets its own registry.
-  void Reset();
-
-  // Observability shard (owned by the enclosing link). Admit mirrors the
-  // guard's accept/repair/quarantine tallies and ring resyncs into it, with
-  // the per-frame inspection latency sampled 1-in-kIngestSampleEvery; null
-  // is the no-op sink.
-  obs::Registry* metrics = nullptr;
-
-  std::optional<nic::FrameGuard> guard;
-  bool degraded = false;  // last decision used the fallback statistic
-  std::size_t degraded_decisions = 0;
-  std::size_t empty_windows_seen = 0;
-  double empty_score_ewma = 0.0;
-  bool profile_drift = false;
-  // Expected quiet score from the calibration empty scores (0 when none
-  // were provided). Seeds empty_score_ewma at construction and on Reset so
-  // the first windows after a reset cannot spuriously trip profile_drift
-  // from a cold EWMA; with no seed the legacy first-window hard set stays.
-  double quiet_score_seed = 0.0;
-  // Taint bookkeeping for the calibration ladder: repaired (flagged but
-  // usable) frames — and the subset carrying the RSSI-outlier AGC fault —
-  // admitted since the last emitted decision. The owner zeroes both after
-  // each decision.
-  std::size_t repaired_since_decision = 0;
-  std::size_t agc_frames_since_decision = 0;
-};
-
-class StreamingDetector {
- public:
-  // `detector` must have a calibrated threshold. `empty_scores` are
-  // empty-room window scores used to fit the HMM emission model (>= 2 when
-  // use_hmm is on).
-  StreamingDetector(Detector detector, const std::vector<double>& empty_scores,
-                    StreamingConfig config = {});
-
-  // Feed one packet. Returns a decision whenever a full window (aligned to
-  // the hop) completes, nullopt otherwise.
-  MULINK_HOT std::optional<PresenceDecision> Push(const wifi::CsiPacket& packet);
-
-  // Current belief (last decision; unoccupied before the first window).
-  bool occupied() const { return occupied_; }
-  double posterior() const { return posterior_; }
-
-  // Link health snapshot: frame-guard counters plus degraded-mode,
-  // profile-drift and calibration-ladder state. All-zero when the guard and
-  // adaptive calibration are disabled.
-  nic::LinkHealth Health() const {
-    nic::LinkHealth health = ingest_.Health();
-    calibrator_.FillHealth(health);
-    return health;
-  }
-
-  // Adaptive-calibration state (inert when config.calibration.enabled is
-  // false).
-  const LinkCalibrator& calibrator() const { return calibrator_; }
-
-  // Observability: ingest/guard counters, decision counters and per-stage
-  // latency histograms recorded by this detector. Enabled by default;
-  // disabling detaches the registry (the runtime no-op sink) without
-  // touching recorded values. Decisions are bit-identical either way.
-  void SetMetricsEnabled(bool enabled);
-  bool metrics_enabled() const { return metrics_enabled_; }
-  const obs::Registry& Metrics() const { return metrics_; }
-
-  // Drop buffered packets and reset the temporal state (metrics included).
-  void Reset();
-
-  const StreamingConfig& config() const { return config_; }
-  const Detector& detector() const { return detector_; }
-
- private:
-  Detector detector_;
-  StreamingConfig config_;
-  GuardedIngest ingest_;
-  LinkCalibrator calibrator_;
-  std::optional<PresenceHmm> hmm_;
-  std::optional<PresenceHmm::Filter> filter_;
-  // Fixed-capacity ring of the last window_packets packets plus an
-  // arrival-ordered window assembled for scoring. Packet slots are
-  // copy-assigned, so their CSI buffers are reused — steady-state Push
-  // performs no heap allocations.
-  std::vector<wifi::CsiPacket> ring_;
-  std::vector<wifi::CsiPacket> window_;
-  std::size_t write_pos_ = 0;
-  std::size_t count_ = 0;
-  mutable DetectorScratch scratch_;
-  std::size_t packets_since_decision_ = 0;
-  bool occupied_ = false;
-  double posterior_ = 0.0;
-  obs::Registry metrics_;
-  bool metrics_enabled_ = true;
 };
 
 }  // namespace mulink::core

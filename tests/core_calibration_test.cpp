@@ -2,9 +2,9 @@
 // sufficient statistics, the recalibration ladder's state machine
 // (drift confirmation, AGC fast re-baseline, blackout escape, starvation
 // fallback, timeout/backoff/freeze, swap-spacing de-escalation), the
-// legacy profile-drift watchdog's edge cases (reset, degraded windows,
-// dead-chain revive), and streaming-vs-batch bit-identity with the ladder
-// active under long-horizon drift faults.
+// profile-drift watchdog's edge cases (minimum windows, reset, degraded
+// windows, dead-chain revive), and a golden decision digest with the
+// ladder active under long-horizon drift faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,7 @@
 #include "core/calibration/calibration.h"
 #include "core/detector.h"
 #include "core/engine.h"
-#include "core/streaming.h"
+#include "decision_digest.h"
 #include "experiments/scenario.h"
 #include "kernels/kernels.h"
 #include "nic/fault_injection.h"
@@ -561,57 +561,73 @@ TEST(RecalibrationLadder, FillHealthExportsTheLadder) {
   EXPECT_EQ(untouched.calibration_state, nic::CalibrationLadder::kHealthy);
 }
 
-// ------------------------------------- legacy watchdog edge cases --
+// ------------------------------------------ drift watchdog edge cases --
 
-core::StreamingConfig WatchdogConfig(const core::Detector& detector,
-                                     const std::vector<double>& empty_scores) {
+// The watchdog's settings are fixed (StreamingConfig): it trips once 8
+// believed-empty windows were seen and their score EWMA exceeds 0.9 x the
+// detector's threshold. Links here run the HMM without threshold fusion,
+// so the threshold feeds only the watchdog: placing it so that 0.9 x
+// threshold sits safely below the quiet level makes plain empty traffic
+// trip the flag after 8 windows — the tests below pin WHEN the flag may
+// move, not the detection margin itself.
+core::StreamingConfig WatchdogConfig() {
   core::StreamingConfig config;
-  config.use_hmm = false;
+  config.use_hmm = true;
   config.guard_enabled = true;
-  config.watchdog_min_windows = 4;
-  // Place the watchdog reference safely below the quiet level so plain
-  // empty traffic trips the flag after watchdog_min_windows — the tests
-  // below pin WHEN the flag may move, not the detection margin itself.
-  double mean = 0.0;
-  for (const double s : empty_scores) mean += s;
-  mean /= static_cast<double>(empty_scores.size());
-  config.watchdog_score_fraction = 0.8 * mean / detector.threshold();
   return config;
+}
+
+double Mean(const std::vector<double>& values) {
+  double mean = 0.0;
+  for (const double v : values) mean += v;
+  return mean / static_cast<double>(values.size());
+}
+
+void HairTrigger(core::Detector& detector,
+                 const std::vector<double>& empty_scores) {
+  detector.SetThreshold(0.8 * Mean(empty_scores) / 0.9);
 }
 
 TEST(ProfileDriftWatchdog, FlagAndEwmaSeedSurviveReset) {
   auto& f = Fixture();
   auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
   const auto empty_scores = f.EmptyScores(detector);
-  const auto config = WatchdogConfig(detector, empty_scores);
-  double seed = 0.0;
-  for (const double s : empty_scores) seed += s;
-  seed /= static_cast<double>(empty_scores.size());
+  HairTrigger(detector, empty_scores);
+  const double seed = Mean(empty_scores);
 
-  core::StreamingDetector streaming(std::move(detector), empty_scores, config);
+  core::SensingEngine engine;
+  engine.AddLink(std::move(detector), empty_scores, WatchdogConfig());
   // Before any window the EWMA sits at the calibration seed, not 0.
-  EXPECT_DOUBLE_EQ(streaming.Health().empty_score_ewma, seed);
+  EXPECT_DOUBLE_EQ(engine.Health(0).empty_score_ewma, seed);
 
-  for (const auto& packet : f.empty_session) streaming.Push(packet);
-  EXPECT_TRUE(streaming.Health().profile_drift);
+  // Seven believed-empty windows are one short of the minimum; the eighth
+  // trips the flag.
+  const std::span<const wifi::CsiPacket> session(f.empty_session);
+  const auto& first = engine.ProcessBatch(0, session.subspan(0, 7 * kWindow));
+  ASSERT_EQ(first.decisions.size(), 7u);
+  for (const auto& d : first.decisions) EXPECT_LE(d.posterior, 0.2);
+  EXPECT_FALSE(engine.Health(0).profile_drift);
+  engine.ProcessBatch(0, session.subspan(7 * kWindow, kWindow));
+  EXPECT_TRUE(engine.Health(0).profile_drift);
 
-  streaming.Reset();
-  EXPECT_FALSE(streaming.Health().profile_drift);
+  engine.Reset(0);
+  EXPECT_FALSE(engine.Health(0).profile_drift);
   // The cold-start seed survives the reset: the first windows after a
   // reset blend into a warm EWMA instead of jumping from 0.
-  EXPECT_DOUBLE_EQ(streaming.Health().empty_score_ewma, seed);
+  EXPECT_DOUBLE_EQ(engine.Health(0).empty_score_ewma, seed);
 
   // And the same tail trips the flag again — reset does not blind it.
-  for (const auto& packet : f.empty_session) streaming.Push(packet);
-  EXPECT_TRUE(streaming.Health().profile_drift);
+  engine.ProcessBatch(0, session);
+  EXPECT_TRUE(engine.Health(0).profile_drift);
 }
 
 TEST(ProfileDriftWatchdog, DegradedWindowsAreIgnoredUntilTheChainRevives) {
   auto& f = Fixture();
   auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
   const auto empty_scores = f.EmptyScores(detector);
-  const auto config = WatchdogConfig(detector, empty_scores);
-  core::StreamingDetector streaming(std::move(detector), empty_scores, config);
+  HairTrigger(detector, empty_scores);
+  core::SensingEngine engine;
+  engine.AddLink(std::move(detector), empty_scores, WatchdogConfig());
 
   // First half of the stream arrives with RX chain 2 silenced: the guard
   // confirms the dead chain and every decision is degraded.
@@ -621,10 +637,10 @@ TEST(ProfileDriftWatchdog, DegradedWindowsAreIgnoredUntilTheChainRevives) {
     for (std::size_t k = 0; k < killed.NumSubcarriers(); ++k) {
       killed.csi.At(2, k) = Complex(0.0, 0.0);
     }
-    streaming.Push(killed);
+    engine.ProcessPacket(0, killed);
   }
   {
-    const auto health = streaming.Health();
+    const auto health = engine.Health(0);
     EXPECT_EQ(health.dead_antenna_mask, 1u << 2);
     EXPECT_GT(health.degraded_decisions, 0u);
     // Degraded decisions score a different statistic on a different
@@ -636,19 +652,19 @@ TEST(ProfileDriftWatchdog, DegradedWindowsAreIgnoredUntilTheChainRevives) {
   // The chain revives: clean decisions resume feeding the watchdog and the
   // (deliberately hair-triggered) flag now trips.
   for (std::size_t i = half; i < f.empty_session.size(); ++i) {
-    streaming.Push(f.empty_session[i]);
+    engine.ProcessPacket(0, f.empty_session[i]);
   }
-  const auto health = streaming.Health();
+  const auto health = engine.Health(0);
   EXPECT_EQ(health.dead_antenna_mask, 0u);
   EXPECT_TRUE(health.profile_drift);
 }
 
-// ----------------------------------- streaming/batch bit-identity --
+// ------------------------------------------- golden decision digest --
 
 // With the ladder active under long-horizon drift faults (gain ramp,
-// furniture step, scheduled AGC jumps), StreamingDetector and SensingEngine
-// must agree decision-for-decision and ladder-state-for-ladder-state.
-TEST(AdaptiveCalibration, StreamingAndBatchAgreeUnderDriftFaults) {
+// furniture step, scheduled AGC jumps), the decisions and the final ladder
+// state are pinned bit for bit.
+TEST(GoldenDecisions, AdaptiveCalibrationUnderDriftFaults) {
   auto& f = Fixture();
   nic::FaultInjectionConfig faults;
   faults.enabled = true;
@@ -662,6 +678,11 @@ TEST(AdaptiveCalibration, StreamingAndBatchAgreeUnderDriftFaults) {
   auto drifting = ex::MakeSimulator(f.link, sim_config);
   Rng rng(909);
   const auto session = drifting.CaptureSession(2100, std::nullopt, rng);
+  golden::Fnv64 input;
+  input.U64(golden::PacketDigest(f.calibration));
+  input.U64(golden::PacketDigest(f.empty_session));
+  input.U64(golden::PacketDigest(session));
+  ASSERT_EQ(input.value(), 0x98eb7ce8fd49ca99ull) << "input changed";
 
   auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
   const auto empty_scores = f.EmptyScores(detector);
@@ -670,43 +691,25 @@ TEST(AdaptiveCalibration, StreamingAndBatchAgreeUnderDriftFaults) {
   stream.calibration = FastLadderConfig();
   stream.calibration.drift_ewma_alpha = 0.3;
 
-  core::StreamingDetector streaming(detector, empty_scores, stream);
   core::SensingEngine engine;
   engine.AddLink(std::move(detector), empty_scores, stream);
-
-  std::vector<core::PresenceDecision> pushed;
-  for (const auto& packet : session) {
-    if (auto d = streaming.Push(packet)) pushed.push_back(*d);
-  }
   const auto& batch =
       engine.ProcessBatch(std::span<const wifi::CsiPacket>(session));
-  ASSERT_EQ(pushed.size(), batch.decisions.size());
-  ASSERT_FALSE(pushed.empty());
-  for (std::size_t i = 0; i < pushed.size(); ++i) {
-    EXPECT_EQ(pushed[i].score, batch.decisions[i].score);
-    EXPECT_EQ(pushed[i].posterior, batch.decisions[i].posterior);
-    EXPECT_EQ(pushed[i].occupied, batch.decisions[i].occupied);
-    EXPECT_EQ(pushed[i].degraded, batch.decisions[i].degraded);
-  }
-
-  const auto& push_cal = streaming.calibrator();
-  const auto& batch_cal = engine.Calibrator(0);
-  EXPECT_EQ(push_cal.state(), batch_cal.state());
-  EXPECT_EQ(push_cal.quiet_windows(), batch_cal.quiet_windows());
-  EXPECT_EQ(push_cal.profile_swaps(), batch_cal.profile_swaps());
-  EXPECT_EQ(push_cal.agc_rebaselines(), batch_cal.agc_rebaselines());
-  EXPECT_EQ(push_cal.adaptive_threshold(), batch_cal.adaptive_threshold());
-  EXPECT_EQ(push_cal.quiet_log_mean(), batch_cal.quiet_log_mean());
+  ASSERT_FALSE(batch.decisions.empty());
 
   // The ladder actually moved under these faults: quiet evidence was
   // collected and the window-aligned scheduled AGC bursts drove the fast
   // re-baseline path through the robust RSSI guard.
-  EXPECT_GT(push_cal.quiet_windows(), 0u);
-  EXPECT_GE(push_cal.agc_rebaselines(), 1u);
-
+  const auto& calibrator = engine.Calibrator(0);
+  EXPECT_GT(calibrator.quiet_windows(), 0u);
+  EXPECT_GE(calibrator.agc_rebaselines(), 1u);
   const auto health = engine.Health(0);
-  EXPECT_EQ(health.calibration_state, push_cal.state());
-  EXPECT_EQ(health.quiet_windows, push_cal.quiet_windows());
+  EXPECT_EQ(health.calibration_state, calibrator.state());
+  EXPECT_EQ(health.quiet_windows, calibrator.quiet_windows());
+
+  const std::uint64_t digest =
+      golden::DecisionDigest(batch.decisions, health, calibrator);
+  EXPECT_EQ(digest, 0xd15cac4f6d1e64ceull) << std::hex << "digest=0x" << digest;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Degraded-mode sensing tests: guarded ingest equivalence on clean streams,
-// graceful fallback under injected NIC faults, the profile-drift watchdog,
-// and the CI fault-matrix hook (MULINK_FAULT_PRESET).
+// graceful fallback under injected NIC faults (with a golden decision
+// digest), the profile-drift watchdog, and the CI fault-matrix hook
+// (MULINK_FAULT_PRESET).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +14,7 @@
 #include "common/rng.h"
 #include "core/detector.h"
 #include "core/engine.h"
-#include "core/streaming.h"
+#include "decision_digest.h"
 #include "experiments/scenario.h"
 #include "nic/frame_guard.h"
 
@@ -79,8 +80,12 @@ TEST(DegradedScoring, FullMaskBitIdenticalToScore) {
     const std::span<const wifi::CsiPacket> span(f.occupied_session);
     for (std::size_t start = 0; start + 25 <= span.size(); start += 25) {
       const auto window = span.subspan(start, 25);
+      core::Detector::Window degraded;
+      degraded.packets = window;
+      degraded.live_mask = full;
+      degraded.fallback = true;
       EXPECT_EQ(detector.Score(window, scratch),
-                detector.ScoreDegraded(window, scratch, full))
+                detector.Score(degraded, scratch))
           << core::ToString(scheme) << " window at " << start;
     }
   }
@@ -115,11 +120,14 @@ TEST(DegradedScoring, MaskedScoreIgnoresDeadRow) {
       }
     }
     const std::uint32_t live = 0b011;
-    const double with_zeros = detector.ScoreDegraded(
-        std::span<const wifi::CsiPacket>(killed), scratch, live);
+    core::Detector::Window degraded;
+    degraded.live_mask = live;
+    degraded.fallback = true;
+    degraded.packets = killed;
+    const double with_zeros = detector.Score(degraded, scratch);
     EXPECT_TRUE(std::isfinite(with_zeros)) << core::ToString(scheme);
-    const double from_clean =
-        detector.ScoreDegraded(span.subspan(0, 25), scratch, live);
+    degraded.packets = span.subspan(0, 25);
+    const double from_clean = detector.Score(degraded, scratch);
     // The phase-sanitize fit averages over antennas (dead row included), so
     // sanitizing schemes see a slightly different rotation; amplitude-only
     // baseline must match exactly.
@@ -164,9 +172,9 @@ TEST(GuardedIngest, CleanStreamBitIdenticalToUnguarded) {
   }
 }
 
-// StreamingDetector and the engine must agree decision-for-decision under
-// the same fault stream (the GuardedIngest state is shared logic).
-TEST(GuardedIngest, StreamingAndBatchAgreeUnderFaults) {
+// Guarded combined-scheme decisions under drops, corruption and a dead
+// chain (degraded fallback), pinned bit for bit together with the input.
+TEST(GoldenDecisions, GuardedIngestUnderFaults) {
   auto& f = Fixture();
   nic::FaultInjectionConfig faults;
   faults.enabled = true;
@@ -182,6 +190,10 @@ TEST(GuardedIngest, StreamingAndBatchAgreeUnderFaults) {
   propagation::HumanBody body;
   body.position = {3.0, 4.2};
   const auto session = faulty.CaptureSession(400, body, rng);
+  ASSERT_EQ(golden::PacketDigest(f.calibration), 0xe62785d702d6a5b9ull)
+      << "input changed";
+  ASSERT_EQ(golden::PacketDigest(session), 0x27482d187a05c156ull)
+      << "input changed";
 
   core::StreamingConfig stream;
   stream.use_hmm = false;
@@ -189,29 +201,21 @@ TEST(GuardedIngest, StreamingAndBatchAgreeUnderFaults) {
 
   auto detector =
       f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
-  core::StreamingDetector streaming(detector, {}, stream);
   core::SensingEngine engine;
   engine.AddLink(std::move(detector), {}, stream);
 
-  std::vector<core::PresenceDecision> pushed;
-  for (const auto& packet : session) {
-    if (auto d = streaming.Push(packet)) pushed.push_back(*d);
-  }
   const auto& batch =
       engine.ProcessBatch(std::span<const wifi::CsiPacket>(session));
-  ASSERT_EQ(pushed.size(), batch.decisions.size());
-  ASSERT_FALSE(pushed.empty());
+  ASSERT_FALSE(batch.decisions.empty());
   bool any_degraded = false;
-  for (std::size_t i = 0; i < pushed.size(); ++i) {
-    EXPECT_EQ(pushed[i].score, batch.decisions[i].score);
-    EXPECT_EQ(pushed[i].occupied, batch.decisions[i].occupied);
-    EXPECT_EQ(pushed[i].degraded, batch.decisions[i].degraded);
-    any_degraded |= pushed[i].degraded;
-  }
+  for (const auto& d : batch.decisions) any_degraded |= d.degraded;
   EXPECT_TRUE(any_degraded);
   const auto health = engine.Health(0);
   EXPECT_EQ(health.dead_antenna_mask, 1u << 2);
   EXPECT_GT(health.degraded_decisions, 0u);
+  const std::uint64_t digest = golden::DecisionDigest(
+      batch.decisions, health, engine.Calibrator(0));
+  EXPECT_EQ(digest, 0x6465e841887d0bafull) << std::hex << "digest=0x" << digest;
 }
 
 // The fig07-style acceptance scenario: under 5% drop, 1% corruption and one
@@ -300,39 +304,49 @@ TEST(GuardedIngest, AccuracyUnderFaultsWithinMarginOfCleanRun) {
 }
 
 // Watchdog: believed-empty windows whose scores climb toward the threshold
-// must trip profile_drift; with a generous fraction it must stay quiet.
+// must trip profile_drift; with a wide margin it must stay quiet. Its
+// settings are fixed (StreamingConfig: trip once 8 believed-empty windows
+// were seen and their EWMA exceeds 0.9 x threshold), so the threshold
+// steers it; with the HMM on and fusion off nothing else reads it.
 TEST(GuardedIngest, ProfileDriftWatchdog) {
   auto& f = Fixture();
   core::StreamingConfig stream;
-  stream.use_hmm = false;
+  stream.use_hmm = true;
   stream.guard_enabled = true;
-  stream.watchdog_min_windows = 4;
+  const std::span<const wifi::CsiPacket> empty(f.empty_session);
+  const auto link = [&](double threshold) {
+    auto detector =
+        f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
+    core::DetectorScratch scratch;
+    std::vector<double> empty_scores;
+    for (std::size_t s = 0; s + 25 <= empty.size(); s += 25) {
+      empty_scores.push_back(detector.Score(empty.subspan(s, 25), scratch));
+    }
+    detector.SetThreshold(threshold);
+    core::SensingEngine engine;
+    engine.AddLink(std::move(detector), empty_scores, stream);
+    return engine;
+  };
 
-  // A tiny fraction makes ordinary empty-room scores count as drift: the
-  // mechanism (EWMA over believed-empty windows, trip after min windows)
-  // is what's under test.
-  stream.watchdog_score_fraction = 0.01;
-  core::SensingEngine engine;
-  engine.AddLink(
-      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting), {},
-      stream);
-  engine.ProcessBatch(0, std::span<const wifi::CsiPacket>(f.empty_session));
+  // A tiny threshold makes ordinary empty-room scores count as drift: the
+  // mechanism (EWMA over believed-empty windows, trip after the minimum
+  // windows) is what's under test.
+  core::SensingEngine engine = link(1e-9);
+  engine.ProcessBatch(0, empty);
   EXPECT_TRUE(engine.Health(0).profile_drift);
   EXPECT_GT(engine.Health(0).empty_score_ewma, 0.0);
 
   // Far above any empty score: never trips on a healthy profile.
-  stream.watchdog_score_fraction = 2.0;
-  core::SensingEngine quiet;
-  quiet.AddLink(
-      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting), {},
-      stream);
-  quiet.ProcessBatch(0, std::span<const wifi::CsiPacket>(f.empty_session));
+  core::SensingEngine quiet = link(1e9);
+  quiet.ProcessBatch(0, empty);
   EXPECT_FALSE(quiet.Health(0).profile_drift);
 
-  // Reset clears the watchdog with the rest of the link state.
+  // Reset clears the flag with the rest of the link state, and the EWMA
+  // returns to its calibration seed.
+  const double seed = link(1e-9).Health(0).empty_score_ewma;
   engine.Reset(0);
   EXPECT_FALSE(engine.Health(0).profile_drift);
-  EXPECT_EQ(engine.Health(0).empty_score_ewma, 0.0);
+  EXPECT_EQ(engine.Health(0).empty_score_ewma, seed);
 }
 
 // CI fault-matrix hook: MULINK_FAULT_PRESET=drop|reorder|corrupt cranks one

@@ -1,7 +1,8 @@
 // Equivalence suite for the workspace-based sensing engine: the scratch
-// Score path, ProcessBatch, and the streaming detector must all produce
-// BIT-IDENTICAL results to the legacy allocating APIs — the refactor is a
-// pure hot-path restructuring, not a numerical change.
+// Score path and ProcessBatch/ProcessPacket must produce BIT-IDENTICAL
+// results to the legacy allocating API and to scoring each window's raw
+// packets — the engine is a pure hot-path restructuring, not a numerical
+// change — and golden decision digests pin the engine's decisions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,8 @@
 #include "core/multipath_factor.h"
 #include "core/music.h"
 #include "core/sanitize.h"
-#include "core/streaming.h"
 #include "core/subcarrier_weighting.h"
+#include "decision_digest.h"
 #include "dsp/stats.h"
 #include "experiments/scenario.h"
 #include "obs/metrics.h"
@@ -137,10 +138,42 @@ std::vector<double> EmptyScores(const EngineFixture& f,
   return scores;
 }
 
-// ProcessBatch must reproduce StreamingDetector::Push decision-for-decision
-// regardless of how the packet stream is chopped into batches.
-TEST(EngineEquivalence, ProcessBatchMatchesStreamingPush) {
+// Link 0's decisions over `stream`, fed in uneven batches.
+std::vector<core::PresenceDecision> ProcessChopped(
+    core::SensingEngine& engine, std::span<const wifi::CsiPacket> stream) {
+  std::vector<core::PresenceDecision> decisions;
+  const std::size_t cuts[] = {7, 40, 1, 25, 60, 3};
+  for (std::size_t pos = 0, cut = 0; pos < stream.size(); ++cut) {
+    const std::size_t n = std::min(cuts[cut % 6], stream.size() - pos);
+    const auto& result = engine.ProcessBatch(0, stream.subspan(pos, n));
+    decisions.insert(decisions.end(), result.decisions.begin(),
+                     result.decisions.end());
+    pos += n;
+  }
+  return decisions;
+}
+
+std::uint64_t FixtureDigest(const EngineFixture& f) {
+  golden::Fnv64 h;
+  for (const auto* session :
+       {&f.calibration, &f.empty_session, &f.occupied_session}) {
+    h.U64(golden::PacketDigest(*session));
+  }
+  return h.value();
+}
+
+// Pinned digest of the fixture's simulated sessions: when it moves, the
+// simulator's output changed (toolchain, libm), not the decision path, and
+// the decision digests below must be re-recorded.
+constexpr std::uint64_t kFixtureInputDigest = 0x24096dfb845c4a1dull;
+
+// Combined-scheme decisions at hop 10, HMM on and off, over a stream
+// chopped into uneven batches, pinned bit for bit.
+TEST(GoldenDecisions, CombinedSchemeHop10) {
   auto& f = Fixture();
+  ASSERT_EQ(FixtureDigest(f), kFixtureInputDigest) << "input changed";
+  const std::uint64_t kGolden[] = {0x5180dc054ad075d6ull,  // use_hmm = false
+                                   0x99e73973a704dae0ull};  // true
   for (bool use_hmm : {false, true}) {
     auto detector =
         f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
@@ -152,39 +185,16 @@ TEST(EngineEquivalence, ProcessBatchMatchesStreamingPush) {
     config.hop_packets = 10;
     config.use_hmm = use_hmm;
 
-    core::StreamingDetector streaming(detector, empty_scores, config);
     core::SensingEngine engine;
     engine.AddLink(std::move(detector), empty_scores, config);
-
-    std::vector<core::PresenceDecision> push_decisions;
-    for (const auto& packet : f.occupied_session) {
-      if (auto d = streaming.Push(packet)) push_decisions.push_back(*d);
-    }
-
-    // Chop the same stream into uneven batches.
-    std::vector<core::PresenceDecision> batch_decisions;
-    const std::span<const wifi::CsiPacket> session(f.occupied_session);
-    const std::size_t cuts[] = {7, 40, 1, 25, 60, 3};
-    std::size_t pos = 0, cut = 0;
-    while (pos < session.size()) {
-      const std::size_t n = std::min(cuts[cut % 6], session.size() - pos);
-      const auto& result = engine.ProcessBatch(session.subspan(pos, n));
-      batch_decisions.insert(batch_decisions.end(), result.decisions.begin(),
-                             result.decisions.end());
-      pos += n;
-      ++cut;
-    }
-
-    ASSERT_EQ(push_decisions.size(), batch_decisions.size())
-        << "use_hmm=" << use_hmm;
-    for (std::size_t i = 0; i < push_decisions.size(); ++i) {
-      EXPECT_EQ(push_decisions[i].timestamp_s, batch_decisions[i].timestamp_s);
-      EXPECT_EQ(push_decisions[i].score, batch_decisions[i].score);
-      EXPECT_EQ(push_decisions[i].posterior, batch_decisions[i].posterior);
-      EXPECT_EQ(push_decisions[i].occupied, batch_decisions[i].occupied);
-    }
-    EXPECT_EQ(streaming.occupied(), engine.occupied(0));
-    EXPECT_EQ(streaming.posterior(), engine.posterior(0));
+    const auto decisions = ProcessChopped(engine, f.occupied_session);
+    ASSERT_FALSE(decisions.empty());
+    EXPECT_EQ(decisions.back().occupied, engine.occupied(0));
+    EXPECT_EQ(decisions.back().posterior, engine.posterior(0));
+    const std::uint64_t digest = golden::DecisionDigest(
+        decisions, engine.Health(0), engine.Calibrator(0));
+    EXPECT_EQ(digest, kGolden[use_hmm])
+        << "use_hmm=" << use_hmm << std::hex << " digest=0x" << digest;
   }
 }
 
@@ -219,24 +229,26 @@ TEST(EngineEquivalence, RepeatedBatchesAfterResetAreIdentical) {
 }
 
 // The warm profile-covariance cache must be invalidated when the detector's
-// profile changes: a scratch warmed before UpdateProfile must score exactly
-// like a fresh one afterwards.
-TEST(EngineEquivalence, ProfileCacheInvalidatedByUpdateProfile) {
+// retained calibration set changes: a scratch warmed before
+// RefreshAngularProfile must score exactly like a fresh one afterwards.
+TEST(EngineEquivalence, ProfileCacheInvalidatedByAngularRefresh) {
   auto& f = Fixture();
   auto detector =
       f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
   core::DetectorScratch warm;
   const std::span<const wifi::CsiPacket> occupied(f.occupied_session);
-  (void)detector.Score(occupied.subspan(0, 25), warm);  // warms the cache
+  const double before = detector.Score(occupied.subspan(25, 25), warm);
 
-  const std::vector<wifi::CsiPacket> update_window(
-      f.empty_session.begin(), f.empty_session.begin() + 25);
-  detector.UpdateProfile(update_window, 0.2);
+  const std::vector<wifi::CsiPacket> quiet(f.empty_session.begin(),
+                                           f.empty_session.begin() + 25);
+  detector.RefreshAngularProfile(
+      core::SanitizePhase(quiet, detector.band()));
 
   const double with_warm = detector.Score(occupied.subspan(25, 25), warm);
   core::DetectorScratch fresh;
   const double with_fresh = detector.Score(occupied.subspan(25, 25), fresh);
   EXPECT_EQ(with_warm, with_fresh);
+  EXPECT_NE(with_warm, before) << "the refresh did not move the profile";
 }
 
 // One scratch shared across two different detector instances must not reuse
@@ -575,10 +587,12 @@ TEST(EngineEquivalence, SharedDetectorSharedScratchMatchesOwned) {
 
 // The baseline ingest cache must stay coherent under the recalibration
 // ladder: when a profile swap bumps the detector's profile epoch
-// mid-stream, stale cached packet scores must not leak into decisions —
-// pinned by bit-identity against StreamingDetector (which never caches).
+// mid-stream, stale cached packet scores must not leak into decisions.
+// Pinned by a digest recorded against a window-rescoring reference.
 TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   auto& f = Fixture();
+  ASSERT_EQ(FixtureDigest(f), kFixtureInputDigest) << "input changed";
+  constexpr std::uint64_t kGolden = 0x5af5b69327f4935bull;
   auto detector = f.Calibrated(core::DetectionScheme::kBaseline);
   const auto empty_scores = EmptyScores(f, detector);
   detector.SetThreshold(1.0);
@@ -593,41 +607,30 @@ TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   config.calibration.recalibration_quiet_windows = 3;
   config.calibration.recalibration_timeout_windows = 10;
 
-  core::StreamingDetector streaming(detector, empty_scores, config);
   core::SensingEngine engine;
   engine.AddLink(std::move(detector), empty_scores, config);
 
   // Empty-room stream: quiet windows feed the ladder, which recalibrates
   // (ApplyProfile bumps the epoch) while the cache holds pre-swap scores.
-  std::vector<core::PresenceDecision> push_decisions;
+  std::vector<core::PresenceDecision> decisions;
   for (const auto& packet : f.empty_session) {
-    if (auto d = streaming.Push(packet)) push_decisions.push_back(*d);
+    if (auto d = engine.ProcessPacket(0, packet)) decisions.push_back(*d);
   }
-  std::vector<core::PresenceDecision> engine_decisions;
-  for (const auto& packet : f.empty_session) {
-    if (auto d = engine.ProcessPacket(0, packet)) {
-      engine_decisions.push_back(*d);
-    }
-  }
-
-  ASSERT_EQ(push_decisions.size(), engine_decisions.size());
-  ASSERT_FALSE(push_decisions.empty());
-  for (std::size_t i = 0; i < push_decisions.size(); ++i) {
-    EXPECT_EQ(push_decisions[i].score, engine_decisions[i].score);
-    EXPECT_EQ(push_decisions[i].posterior, engine_decisions[i].posterior);
-    EXPECT_EQ(push_decisions[i].occupied, engine_decisions[i].occupied);
-  }
+  ASSERT_FALSE(decisions.empty());
+  EXPECT_GT(engine.Calibrator(0).profile_swaps(), 0u);
+  const std::uint64_t digest = golden::DecisionDigest(
+      decisions, engine.Health(0), engine.Calibrator(0));
+  EXPECT_EQ(digest, kGolden) << std::hex << "digest=0x" << digest;
 }
 
 // Subcarrier and variance links fold their window statistic from
 // ingest-cached power rows through the selection kernel and take the mu
-// medians in batches at decision time; StreamingDetector re-derives both
-// from the window packets every hop. The two must agree bit for bit across
-// even and odd windows, windows past the network limit (the dsp fallback),
-// short and full hops, guard plus adaptive calibration, and a dead-chain
+// medians in batches at decision time. Pinned bit for bit across even and
+// odd windows, windows past the network limit (the dsp fallback), short
+// and full hops, guard plus adaptive calibration, and a dead-chain
 // (degraded) stretch. With the calibrator off, full-mask windows score
 // from the cached rows alone (no window copy).
-TEST(EngineEquivalence, PowerRowSchemesMatchStreamingPush) {
+TEST(GoldenDecisions, PowerRowSchemesUnderFaults) {
   auto& f = Fixture();
   auto sim_config = ex::DefaultSimConfig();
   sim_config.faults.enabled = true;
@@ -644,9 +647,59 @@ TEST(EngineEquivalence, PowerRowSchemesMatchStreamingPush) {
   body.position = {3.0, 4.2};
   const auto occupied = faulty.CaptureSession(160, body, rng);
   session.insert(session.end(), occupied.begin(), occupied.end());
+  ASSERT_EQ(FixtureDigest(f), kFixtureInputDigest) << "input changed";
+  ASSERT_EQ(golden::PacketDigest(session), 0x0fe63a36261fdf52ull)
+      << "input changed";
 
-  for (auto scheme : {core::DetectionScheme::kSubcarrierWeighting,
-                      core::DetectionScheme::kVarianceMobile}) {
+  constexpr auto kSubcarrier = core::DetectionScheme::kSubcarrierWeighting;
+  constexpr auto kVariance = core::DetectionScheme::kVarianceMobile;
+  struct Golden {
+    core::DetectionScheme scheme;
+    std::size_t window;
+    std::size_t hop;
+    bool adaptive;
+    std::uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {kSubcarrier, 24, 1, true, 0xf2e50a805c9df055ull},
+      {kSubcarrier, 24, 1, false, 0x1f932b74354dd331ull},
+      {kSubcarrier, 24, 10, true, 0xc43c3e58c2bee836ull},
+      {kSubcarrier, 24, 10, false, 0xd9a65e276a53f21cull},
+      {kSubcarrier, 24, 25, true, 0xc76cad5f6d6d1307ull},
+      {kSubcarrier, 24, 25, false, 0x19bddaefaf7e9a6aull},
+      {kSubcarrier, 25, 1, true, 0x4eb2cde4249ed10bull},
+      {kSubcarrier, 25, 1, false, 0x20592398b41274e3ull},
+      {kSubcarrier, 25, 10, true, 0xa49cdf006ef8d9d7ull},
+      {kSubcarrier, 25, 10, false, 0x710bb9f19ec845caull},
+      {kSubcarrier, 25, 25, true, 0xb5d72e5715447e54ull},
+      {kSubcarrier, 25, 25, false, 0x3ce044e428cfe2ddull},
+      {kSubcarrier, 40, 1, true, 0xc12ec5458251845aull},
+      {kSubcarrier, 40, 1, false, 0x2a2b76e22b7d9e9dull},
+      {kSubcarrier, 40, 10, true, 0x58561c93c1c4639dull},
+      {kSubcarrier, 40, 10, false, 0x3146997d86bfea4dull},
+      {kSubcarrier, 40, 25, true, 0x19dfcd047d4dbec4ull},
+      {kSubcarrier, 40, 25, false, 0x1585bb4e2052c795ull},
+      {kVariance, 24, 1, true, 0x7cf0b4660abf9b9dull},
+      {kVariance, 24, 1, false, 0xc9c442dafbb37c3aull},
+      {kVariance, 24, 10, true, 0xf6b3228684451e9cull},
+      {kVariance, 24, 10, false, 0x2c71608a447a3ad5ull},
+      {kVariance, 24, 25, true, 0x0e51e5e17f478ee1ull},
+      {kVariance, 24, 25, false, 0x6c2bb94a6a1b0469ull},
+      {kVariance, 25, 1, true, 0xc3e5eeccd6106e51ull},
+      {kVariance, 25, 1, false, 0x561be9541eca1447ull},
+      {kVariance, 25, 10, true, 0xb4c553af35d3ff5full},
+      {kVariance, 25, 10, false, 0x28861cb70d684c6cull},
+      {kVariance, 25, 25, true, 0xb603645c1777be1eull},
+      {kVariance, 25, 25, false, 0x1c9dad86e8ed83efull},
+      {kVariance, 40, 1, true, 0x1287fbd199daa09bull},
+      {kVariance, 40, 1, false, 0x27b5c8afc1733c76ull},
+      {kVariance, 40, 10, true, 0x71f6698ab3b0e870ull},
+      {kVariance, 40, 10, false, 0x93db8b794fa0a43full},
+      {kVariance, 40, 25, true, 0x2a21b5dba1aa7685ull},
+      {kVariance, 40, 25, false, 0x019c361f926e92b4ull},
+  };
+  std::size_t checked = 0;
+  for (auto scheme : {kSubcarrier, kVariance}) {
     auto calibrated = f.Calibrated(scheme);
     const auto empty_scores = EmptyScores(f, calibrated);
     calibrated.SetThreshold(1.0);
@@ -662,44 +715,102 @@ TEST(EngineEquivalence, PowerRowSchemesMatchStreamingPush) {
           config.guard_enabled = true;
           config.calibration.enabled = adaptive;
 
-          core::StreamingDetector streaming(calibrated, empty_scores, config);
           core::SensingEngine engine;
           engine.AddLink(calibrated, empty_scores, config);
-
-          std::vector<core::PresenceDecision> pushed;
-          for (const auto& packet : session) {
-            if (auto d = streaming.Push(packet)) pushed.push_back(*d);
-          }
-          std::vector<core::PresenceDecision> batched;
-          const std::span<const wifi::CsiPacket> all(session);
-          const std::size_t cuts[] = {7, 40, 1, 25, 60, 3};
-          std::size_t pos = 0, cut = 0;
-          while (pos < all.size()) {
-            const std::size_t n = std::min(cuts[cut % 6], all.size() - pos);
-            const auto& result = engine.ProcessBatch(all.subspan(pos, n));
-            batched.insert(batched.end(), result.decisions.begin(),
-                           result.decisions.end());
-            pos += n;
-            ++cut;
-          }
+          const auto decisions = ProcessChopped(engine, session);
 
           const std::string where =
               std::string(core::ToString(scheme)) +
               " window=" + std::to_string(window) +
               " hop=" + std::to_string(config.hop_packets) +
               " adaptive=" + std::to_string(adaptive);
-          ASSERT_EQ(pushed.size(), batched.size()) << where;
           bool any_degraded = false;
-          for (std::size_t i = 0; i < pushed.size(); ++i) {
-            EXPECT_EQ(pushed[i].timestamp_s, batched[i].timestamp_s) << where;
-            EXPECT_EQ(pushed[i].score, batched[i].score) << where << " #" << i;
-            EXPECT_EQ(pushed[i].posterior, batched[i].posterior) << where;
-            EXPECT_EQ(pushed[i].occupied, batched[i].occupied) << where;
-            EXPECT_EQ(pushed[i].degraded, batched[i].degraded) << where;
-            any_degraded |= pushed[i].degraded;
-          }
+          for (const auto& d : decisions) any_degraded |= d.degraded;
           EXPECT_TRUE(any_degraded) << where << ": no dead-chain stretch";
-          EXPECT_EQ(streaming.posterior(), engine.posterior(0)) << where;
+          const std::uint64_t digest = golden::DecisionDigest(
+              decisions, engine.Health(0), engine.Calibrator(0));
+          ASSERT_LT(checked, std::size(kGolden)) << where;
+          const Golden& row = kGolden[checked++];
+          ASSERT_TRUE(row.scheme == scheme && row.window == window &&
+                      row.hop == hop && row.adaptive == adaptive)
+              << where << ": golden table out of loop order";
+          EXPECT_EQ(digest, row.digest)
+              << where << std::hex << " digest=0x" << digest;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGolden));
+}
+
+// Live reference for the ingest caches (mu ring, power rows, slabs and
+// baseline distances): every engine decision must score exactly what
+// Detector::Score gives on the last window_packets raw packets pushed, with
+// the guard's live-antenna mask and the fallback statistic on degraded
+// windows. The stream drops packets and loses a chain mid-way but carries
+// nothing the guard quarantines or resyncs on, so the ring really holds
+// the last window_packets pushed packets.
+TEST(EngineEquivalence, DecisionsScoreTheLastRawWindow) {
+  auto& f = Fixture();
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults.enabled = true;
+  sim_config.faults.seed = 53;
+  sim_config.faults.drop_prob = 0.05;
+  sim_config.faults.dead_antenna = 2;
+  sim_config.faults.dead_from_packet = 150;
+  auto faulty = ex::MakeSimulator(f.link, sim_config);
+  Rng rng(717);
+  auto session = faulty.CaptureSession(120, std::nullopt, rng);
+  propagation::HumanBody body;
+  body.position = {3.0, 4.2};
+  const auto occupied = faulty.CaptureSession(180, body, rng);
+  session.insert(session.end(), occupied.begin(), occupied.end());
+  const std::span<const wifi::CsiPacket> stream(session);
+
+  for (auto scheme : kAllSchemes) {
+    auto detector = f.Calibrated(scheme);
+    detector.SetThreshold(1.0);
+    core::DetectorScratch reference_scratch;
+    for (const std::size_t window : {std::size_t{24}, std::size_t{25},
+                                     std::size_t{40}}) {
+      for (const std::size_t hop : {std::size_t{1}, std::size_t{10},
+                                    std::size_t{25}}) {
+        core::StreamingConfig config;
+        config.window_packets = window;
+        config.hop_packets = std::min(hop, window);
+        config.use_hmm = false;
+        config.guard_enabled = true;
+        core::SensingEngine engine;
+        engine.AddLink(detector, {}, config);
+
+        const std::string where =
+            std::string(core::ToString(scheme)) +
+            " window=" + std::to_string(window) +
+            " hop=" + std::to_string(config.hop_packets);
+        std::size_t clean = 0, degraded = 0;
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+          const auto decision = engine.ProcessPacket(0, stream[i]);
+          if (!decision.has_value()) continue;
+          core::Detector::Window last;
+          last.packets = stream.subspan(i + 1 - window, window);
+          if (decision->degraded) {
+            last.live_mask = ~engine.Health(0).dead_antenna_mask;
+            last.fallback = true;
+            ++degraded;
+          } else {
+            ++clean;
+          }
+          ASSERT_EQ(decision->score, detector.Score(last, reference_scratch))
+              << where << " packet " << i;
+        }
+        EXPECT_GT(clean, 0u) << where;
+        EXPECT_GT(degraded, 0u) << where << ": no dead-chain stretch";
+        const auto health = engine.Health(0);
+        EXPECT_GT(health.missing, 0u) << where << ": no dropped packets";
+        EXPECT_EQ(health.quarantined, 0u) << where;
+        if constexpr (obs::kEnabled) {
+          EXPECT_EQ(engine.Metrics(0).Get(obs::Counter::kRingResyncs), 0u)
+              << where;
         }
       }
     }

@@ -594,8 +594,10 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
     SanitizePhaseInto(std::span(window), detector.band(), sanitized,
                       recompute_scratch.sanitize);
 
-    const double direct =
-        detector.ScoreSanitized(std::span(sanitized), recompute_scratch);
+    Detector::Window scored;
+    scored.packets = sanitized;
+    scored.sanitized = true;
+    const double direct = detector.Score(scored, recompute_scratch);
 
     // Derive the factors exactly as the engine's ingest path does: one mu
     // row + median per packet.
@@ -609,11 +611,9 @@ TEST_F(EngineParityTest, PreparedFactorsScoreMatchesRecompute) {
       medians[i] = dsp::Median(mu[i], median_scratch);
       rows[i] = mu[i].data();
     }
-    Detector::PreparedWindowFactors factors;
-    factors.mu_rows = std::span<const double* const>(rows);
-    factors.medians = std::span<const double>(medians);
-    const double prepared = detector.ScoreSanitizedPrepared(
-        std::span(sanitized), factors, prepared_scratch);
+    scored.mu_rows = rows;
+    scored.mu_medians = medians;
+    const double prepared = detector.Score(scored, prepared_scratch);
 
     EXPECT_EQ(direct, prepared) << (human ? "human" : "empty");
   }
