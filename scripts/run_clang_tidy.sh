@@ -11,7 +11,7 @@
 #
 # Gating: clang-tidy is not part of the pinned build container, so when the
 # binary is absent this script prints a notice and exits 0 — the baseline is
-# enforced by the strict-tidy-lint CI job, which installs clang-tidy. Set
+# enforced by the strict-tidy-format CI job, which installs clang-tidy. Set
 # MULINK_REQUIRE_CLANG_TIDY=1 (CI does) to make a missing binary fatal.
 set -u
 
@@ -39,8 +39,7 @@ cd "$(dirname "$0")/.."
 
 # Every first-party TU; the compilation database filters out anything that
 # is not part of the build (GTest mains etc. come via their own TUs).
-mapfile -t FILES < <(find src tools examples bench \
-  -name '*.cpp' -not -path 'tools/mulink-lint/*' | sort)
+mapfile -t FILES < <(find src tools examples bench -name '*.cpp' | sort)
 
 if command -v run-clang-tidy >/dev/null 2>&1; then
   # The parallel driver that ships with clang-tidy.

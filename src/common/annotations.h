@@ -3,12 +3,11 @@
 //
 // Two annotation families live here:
 //
-//  * MULINK_HOT marks a function as part of the per-decision hot path.
-//    tools/mulink-analyze treats every MULINK_HOT function — and everything
-//    it reaches through calls inside the hot-path directories — as a
-//    no-allocation zone (rule hot-path-alloc), superseding the directory-
-//    granular token scan in tools/mulink-lint. On GCC/Clang it also maps to
-//    [[gnu::hot]] so the optimizer groups the marked functions.
+//  * MULINK_HOT marks a function as part of the per-decision hot path. It
+//    is only [[gnu::hot]] on GCC/Clang (nothing elsewhere), so the
+//    optimizer groups the marked functions. The no-allocation contract is
+//    per directory, not per marker: tools/mulink-analyze's hot-path-alloc
+//    rule covers every TU in src/{core,linalg,dsp,kernels,serve}.
 //
 //  * The MULINK_CAPABILITY / MULINK_GUARDED_BY / MULINK_REQUIRES /
 //    MULINK_ACQUIRE / MULINK_RELEASE family wires Clang's -Wthread-safety
@@ -34,7 +33,7 @@
 #include <mutex>
 
 // ---------------------------------------------------------------------------
-// Hot-path marker (consumed by tools/mulink-analyze, rule hot-path-alloc).
+// Hot-path marker: an optimizer hint only.
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)

@@ -2,8 +2,8 @@
 //
 // The paper's 92%/4.5% operating point assumes a fresh static profile s(0),
 // but deployments drift for weeks: thermal gain ramps, furniture moves, AGC
-// retrains. The profile-drift watchdog in core/streaming only raises a flag;
-// this subsystem acts on it. Following the empirical-fading Bayesian
+// retrains. The profile-drift watchdog (GuardedIngest in core/engine.cpp)
+// only raises a flag; this subsystem acts on it. Following the empirical-fading Bayesian
 // calibration of Schmidhammer et al. (arXiv:2205.05331) with link-level fade
 // statistics in the spirit of Yiğitler et al. (arXiv:1405.7237), each link
 // maintains

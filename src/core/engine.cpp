@@ -12,7 +12,7 @@ namespace mulink::core {
 
 namespace {
 
-// Profile-drift watchdog (StreamingConfig): a believed-empty window has a
+// Profile-drift watchdog (fixed knobs): a believed-empty window has a
 // posterior at or below kWatchdogEmptyPosterior; its score feeds an EWMA of
 // weight kWatchdogEwmaAlpha, and the flag trips once at least
 // kWatchdogMinWindows such windows were seen and the EWMA exceeds

@@ -2,8 +2,8 @@
 //
 // The scoring hot path pre-sizes these during calibration / the first
 // window; Ensure() on an already-large-enough buffer is a branch and a
-// store, so steady-state decisions never allocate (mulink-lint fences the
-// directories this is used from).
+// store, so steady-state decisions never allocate (mulink-analyze fences
+// the directories this is used from).
 #pragma once
 
 #include <cstddef>

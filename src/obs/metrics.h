@@ -221,8 +221,8 @@ class Registry {
 };
 
 // Recording macros — the only way library code (src/** outside src/obs) may
-// record observability data. tools/mulink-lint enforces this statically
-// (rule `obs-macro`): direct Add/Set/RecordStageNs/ScopedStageTimer calls in
+// record observability data. tools/mulink-analyze enforces this statically
+// (rule `obs-discipline`): direct Add/Set/RecordStageNs/ScopedStageTimer calls in
 // library TUs fail CI. Routing every recording call through one macro family
 // guarantees three things at once: the null-registry no-op check is never
 // forgotten, the MULINK_OBS compile-time kill switch reaches every call site

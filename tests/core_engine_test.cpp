@@ -198,6 +198,56 @@ TEST(GoldenDecisions, CombinedSchemeHop10) {
   }
 }
 
+// Every scheme on clean input (the fixture's empty then occupied session),
+// window 25, hop 1 and 10, HMM on and off, guard and calibration off, over
+// a stream chopped into uneven batches, pinned bit for bit.
+TEST(GoldenDecisions, CleanInputAllSchemes) {
+  auto& f = Fixture();
+  ASSERT_EQ(FixtureDigest(f), kFixtureInputDigest) << "input changed";
+  std::vector<wifi::CsiPacket> stream(f.empty_session);
+  stream.insert(stream.end(), f.occupied_session.begin(),
+                f.occupied_session.end());
+  ASSERT_EQ(golden::PacketDigest(stream), 0x3c03df30665ef40bull)
+      << "input changed";
+
+  // Rows in loop order: scheme (kAllSchemes) x hop {1, 10} x use_hmm
+  // {false, true}.
+  const std::uint64_t kGolden[] = {
+      0xc99ee52b657e91f8ull, 0xf7a90f9cc56b68e9ull,  // baseline, hop 1
+      0x7c791c7b8f07a5f9ull, 0xd7ecfe7333a98bd6ull,  // baseline, hop 10
+      0xb2827c914233cafaull, 0x8977ee240bf3ccd1ull,  // subcarrier, hop 1
+      0x748ce9cbfaa3078cull, 0xa6e2c4b719ad5c8aull,  // subcarrier, hop 10
+      0xd23e4fbf7b1bdc7eull, 0xfd86ff0b5d337d7cull,  // combined, hop 1
+      0x80b9bff2bd5c27ccull, 0xa7367327ae39f4deull,  // combined, hop 10
+      0xf16ffe226943a666ull, 0x976e514be82d7092ull,  // variance, hop 1
+      0x1c75d7c2055855efull, 0x0af6c3ffd358c3c5ull,  // variance, hop 10
+  };
+  std::size_t row = 0;
+  for (auto scheme : kAllSchemes) {
+    auto calibrated = f.Calibrated(scheme);
+    const auto empty_scores = EmptyScores(f, calibrated);
+    calibrated.SetThreshold(1.0);
+    for (const std::size_t hop : {std::size_t{1}, std::size_t{10}}) {
+      for (const bool use_hmm : {false, true}) {
+        core::StreamingConfig config;
+        config.window_packets = 25;
+        config.hop_packets = hop;
+        config.use_hmm = use_hmm;
+
+        core::SensingEngine engine;
+        engine.AddLink(calibrated, empty_scores, config);
+        const auto decisions = ProcessChopped(engine, stream);
+        ASSERT_EQ(decisions.size(), (stream.size() - 25) / hop + 1);
+        const std::uint64_t digest = golden::DecisionDigest(
+            decisions, engine.Health(0), engine.Calibrator(0));
+        EXPECT_EQ(digest, kGolden[row++])
+            << core::ToString(scheme) << " hop=" << hop
+            << " use_hmm=" << use_hmm << std::hex << " digest=0x" << digest;
+      }
+    }
+  }
+}
+
 // Repeated ProcessBatch on the same link must keep producing identical
 // decisions after Reset — the reused result/ring/scratch buffers must not
 // accumulate state.

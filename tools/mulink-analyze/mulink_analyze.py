@@ -1,106 +1,88 @@
 #!/usr/bin/env python3
-"""mulink-analyze — AST-grade enforcement of mulink's semantic contracts.
+"""mulink-analyze — static enforcement of mulink's source contracts.
 
-tools/mulink-lint pins the *textual* form of the repo's invariants: token
-regexes over stripped source. That catches careless edits but misses whole
-defect classes — an allocation reached through a helper the hot function
-calls, a seq_cst atomic hiding behind operator syntax, an unordered-map
-iteration whose order leaks into a serialized artifact. This tool closes
-that gap with semantic rules over a real token stream and a recovered
-function/call-graph structure, optionally sharpened by libclang.
+The engine's headline guarantees (DESIGN.md §16) are behavioural: an
+allocation-free per-decision hot path, bit-identical scores across
+backends/threads/shards, explicit atomic ordering, silent library code,
+observability that compiles out with the MULINK_OBS kill switch, and vector
+code confined to the kernel layer. Runtime tests exercise those properties
+on the inputs they happen to run; this tool makes the source form of each
+contract a CI failure.
 
-Engines
--------
-micro    Always available (stdlib only). A full C++ lexer (comments,
-         strings, raw strings, char literals, digit separators,
-         preprocessor lines) feeding a single-pass structural parser that
-         recovers namespaces, classes, function definitions (including
-         out-of-line `T C::f(...) const { ... }` and constructors with
-         initializer lists), per-function call sites, and per-function
-         rule facts. Rules run over that structure — so a comment or
-         string can never trip a rule, and findings carry the enclosing
-         function.
+Every rule runs over one exact token stream. A C++ lexer (comments,
+strings, raw strings, char literals, digit separators, preprocessor lines)
+feeds a structural pass that recovers namespaces, classes and function
+definitions (including out-of-line `T C::f(...) const { ... }` and
+constructors with their initializer lists). A comment or string can never
+trip a rule, and each finding names its enclosing function.
 
-cindex   libclang via Python `clang.cindex`, when importable AND a
-         libclang shared object loads. Sharpens hot-path-alloc (call graph
-         by cursor reference rather than name match) and atomics (member
-         calls typed against std::atomic). Soft-skips to `micro` when
-         unavailable — exactly like clang-tidy's soft-skip — unless
-         MULINK_REQUIRE_CINDEX=1 (CI) or --backend cindex demands it.
+Rules (scope in parentheses)
+----------------------------
+hot-path-alloc   (src/{core,linalg,dsp,kernels,serve}, minus cold TUs)
+                 Every allocation token: operator new, malloc-family calls,
+                 growth calls on std containers/strings (push_back, resize,
+                 reserve, insert, emplace, append, assign, ...),
+                 make_unique/make_shared (templated or not),
+                 std::function and std::to_string. That includes
+                 constructors, initializer lists, namespace scope and class
+                 bodies: an allocation is either setup-path or
+                 capacity-reserved, and the annotation says which.
 
-Rules
------
-hot-path-alloc   Functions marked MULINK_HOT (src/common/annotations.h) —
-                 and every function they transitively reach inside the
-                 hot-path directories (src/core, src/kernels, src/dsp,
-                 src/linalg, src/serve) — form a no-allocation zone:
-                 operator new, malloc-family calls, growth calls on std
-                 containers/strings (push_back, resize, reserve, insert,
-                 emplace, append, assign, ...), make_unique/make_shared,
-                 std::function construction and std::to_string are
-                 findings unless carrying the reviewed
-                 `// mulink-lint: allow(alloc): <why>` annotation (the
-                 same annotation currency the lint already uses).
+determinism      (everything; fma outside src/kernels; RNG and wall clock
+                 outside src/common/rng) std::fma calls (the kernel layer
+                 owns the FP contraction policy), range-for iteration over
+                 unordered containers (sort first, like
+                 ServeCore::MergedDecisionLog), and wall-clock or ambient
+                 randomness (time(nullptr), system_clock, std::rand,
+                 random_device, mt19937, ...). Every draw flows through the
+                 seeded, forkable mulink::Rng. steady_clock is fine: it times
+                 stages, it never feeds scores.
 
-determinism      Bit-identical scores across backends/threads/shards
-                 (DESIGN.md §14–15) leave no room for: std::fma calls
-                 outside src/kernels (the kernel layer owns the FP
-                 contraction policy; -ffp-contract=off everywhere else),
-                 range-for iteration over unordered containers (iteration
-                 order is unspecified and must never feed serialized
-                 output — sort first, like ServeCore::MergedDecisionLog),
-                 or wall-clock/ambient randomness (std::time, time(...),
-                 system_clock, std::rand, random_device, mt19937, ...)
-                 outside src/common/rng. Monotonic clocks (steady_clock)
-                 are fine: they time stages, they never feed scores.
+atomics          (everything) .load()/.store()/exchange/fetch_* on a
+                 std::atomic without an explicit memory_order, and
+                 operator-form accesses (++x, x = v, x += v), which are
+                 seq_cst by definition. Also a relaxed store to a member
+                 that is acquire/seq_cst-loaded elsewhere in the same file
+                 (the release edge the load pairs with is missing), except
+                 inside constructors, where pre-publication relaxed stores
+                 are the idiom (spsc_ring.h's cell seeding).
 
-atomics          Every std::atomic access must say its memory_order out
-                 loud: .load()/.store()/exchange/fetch_* without an
-                 explicit order, and operator-form accesses (++x, x = v,
-                 x += v) — which are seq_cst by definition — are findings.
-                 Additionally, a relaxed store to a member that is
-                 acquire/seq_cst-loaded elsewhere in the same file is
-                 reported (the release edge the load pairs with is
-                 missing), except inside constructors, where
-                 pre-publication relaxed stores are the idiom
-                 (spsc_ring.h's cell seeding).
+obs-discipline   (src/** minus src/obs) Metrics and traces are recorded only
+                 through the MULINK_OBS_* macros: direct
+                 Registry::Add/Set/RecordStageNs/SampleIngestTick calls and
+                 direct obs::ScopedStageTimer / obs::TraceSpan construction
+                 are findings.
 
-obs-discipline   Library code (src/** minus src/obs) records metrics and
-                 traces only through the MULINK_OBS_* macros. The lint's
-                 token rule survives here in lexer-accurate form: direct
-                 Registry::Add/Set/RecordStageNs/SampleIngestTick calls
-                 and direct obs::ScopedStageTimer / obs::TraceSpan
-                 construction are findings.
+stdout           (src/**) Library code does not write to stdout
+                 (std::cout, printf, puts, any use of `stdout`); printing
+                 belongs to tools/, examples/ and bench/. Serializers that
+                 take an std::ostream& are fine.
 
-Annotations (inside comments; `mulink-analyze:` and `mulink-lint:`
-prefixes are interchangeable so existing annotations keep working):
+intrinsics       (everything outside src/kernels) SIMD intrinsics:
+                 <immintrin.h>/<x86intrin.h> includes, _mm*_* calls and
+                 __m128/__m256/__m512 types. The kernel layer owns vector
+                 code behind runtime dispatch with a scalar twin.
+
+Annotations (inside comments; `mulink-lint:` and `mulink-analyze:` prefixes
+are interchangeable):
   // mulink-lint: allow(<tag>): reason     same or preceding line
-  // mulink-lint: cold-tu(reason)          first 30 lines of a TU
+  // mulink-lint: cold-tu(reason)          first 30 lines of a TU; opts it
+                                           out of hot-path-alloc
 
-Tags: alloc, determinism, atomics, obs (matching the lint where rules
-overlap).
+Tags: alloc, determinism, atomics, obs, stdout, intrinsics.
 
-Baseline
---------
---baseline FILE filters findings against a checked-in baseline
-(tools/mulink-analyze/baseline.json ships EMPTY — the tree owes zero
-findings; the file exists so a future emergency has a mechanism, and CI
-fails if anyone quietly grows it). --write-baseline FILE records the
-current findings.
+The default scan covers src/, tools/, examples/ and bench/.
 
-Exit codes (same table as mulink-lint and the mulink CLI):
+Exit codes (same table as the mulink CLI, tools/cli.h):
   0  clean
   1  findings
-  2  usage error (unknown flag/rule, unreadable path, backend demanded
-     but unavailable)
+  2  usage error (unknown flag/rule, unreadable path)
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -110,6 +92,7 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 
 SOURCE_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
+SCAN_DIRS = ("src", "tools", "examples", "bench")
 
 HOT_PATH_DIRS = ("src/core", "src/linalg", "src/dsp", "src/kernels",
                  "src/serve")
@@ -117,14 +100,17 @@ KERNEL_DIR = "src/kernels"
 RNG_HOME = re.compile(r"^src/common/rng\.(h|cpp)$")
 OBS_DIR = "src/obs"
 
-RULES = ("hot-path-alloc", "determinism", "atomics", "obs-discipline")
+RULES = ("hot-path-alloc", "determinism", "atomics", "obs-discipline",
+         "stdout", "intrinsics")
 
-# Annotation tag each rule honours (shared currency with mulink-lint).
+# Annotation tag each rule honours.
 RULE_TAG = {
     "hot-path-alloc": "alloc",
     "determinism": "determinism",
     "atomics": "atomics",
     "obs-discipline": "obs",
+    "stdout": "stdout",
+    "intrinsics": "intrinsics",
 }
 
 ANNOTATION_RE = re.compile(
@@ -143,15 +129,9 @@ typeid typename union unsigned using virtual void volatile wchar_t while
 xor xor_eq final override
 """.split())
 
-# Tokens that may sit between a function's `)` and its `{` body.
-FUNC_QUALIFIERS = frozenset(
-    ("const", "noexcept", "override", "final", "mutable", "volatile", "&",
-     "&&", "throw", "try"))
-
 ALLOC_MEMBER_CALLS = frozenset(
     ("resize", "push_back", "emplace_back", "reserve", "insert", "emplace",
-     "emplace_front", "push_front", "shrink_to_fit", "assign", "append",
-     "clear_and_shrink"))
+     "emplace_front", "push_front", "shrink_to_fit", "assign", "append"))
 ALLOC_FREE_CALLS = frozenset(
     ("malloc", "calloc", "realloc", "aligned_alloc", "strdup", "make_unique",
      "make_shared", "to_string"))
@@ -174,6 +154,12 @@ MEMORY_ORDERS = frozenset(
 UNORDERED_TYPES = frozenset(
     ("unordered_map", "unordered_set", "unordered_multimap",
      "unordered_multiset"))
+
+INTRINSIC_CALL_RE = re.compile(r"_mm\d*_\w+")
+INTRINSIC_TYPE_RE = re.compile(r"__m(?:128|256|512)[di]?")
+INTRINSIC_PP_RE = re.compile(
+    r"#\s*include\s*<(?:immintrin|x86intrin)\.h>"
+    r"|\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b")
 
 
 class UsageError(Exception):
@@ -240,18 +226,27 @@ def lex(text: str):
             continue
         if c == "#" and at_line_start:
             # Preprocessor directive: consume to end of line, honouring
-            # backslash continuations. Kept as one opaque token.
+            # backslash continuations. Kept as one opaque token; a trailing
+            # `//` comment is split off so it can carry an annotation.
+            start_line = line
+            parts = []
             j = i
             while j < n:
                 k = text.find("\n", j)
                 k = n if k < 0 else k
-                if text[k - 1:k] == "\\" or text[max(0, k - 2):k] == "\\\r":
+                part = text[j:k]
+                cut = part.find("//")
+                if cut >= 0:
+                    comments.append((line, part[cut:]))
+                    part = part[:cut]
+                parts.append(part)
+                if part.rstrip("\r").endswith("\\"):
                     j = k + 1
                     line += 1
                     continue
                 j = k
                 break
-            tokens.append(Tok("pp", text[i:j], line))
+            tokens.append(Tok("pp", "\n".join(parts), start_line))
             i = j
             continue
         at_line_start = False
@@ -320,37 +315,26 @@ def allowed(notes, line: int, tag: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Micro parser: functions, calls, per-function rule facts
+# Structure: function spans, then one fact pass over every token
 # ---------------------------------------------------------------------------
 
 class FuncInfo:
-    __slots__ = ("name", "qname", "file", "line", "hot", "is_ctor", "calls",
-                 "facts")
+    __slots__ = ("qname", "is_ctor")
 
-    def __init__(self, name, qname, file, line, hot, is_ctor):
-        self.name = name
+    def __init__(self, qname: str, is_ctor: bool):
         self.qname = qname
-        self.file = file
-        self.line = line
-        self.hot = hot
         self.is_ctor = is_ctor
-        self.calls: set[str] = set()
-        # (kind, line, detail) raw facts for the rules:
-        #   alloc-new / alloc-call / alloc-member / alloc-function /
-        #   fma / unordered-iter / ambient-time / ambient-rng /
-        #   atomic-noorder / atomic-op / atomic-load / atomic-store /
-        #   obs-direct
-        self.facts: list[tuple[str, int, str]] = []
 
 
 class FileFacts:
     def __init__(self, rel: str):
         self.rel = rel
-        self.functions: list[FuncInfo] = []
-        self.hot_decls: set[str] = set()  # MULINK_HOT on declarations
+        # (kind, line, detail, enclosing FuncInfo or None); kind is the
+        # FACT_RULES key.
+        self.facts: list[tuple[str, int, str, FuncInfo | None]] = []
         self.notes: dict[int, set[str]] = {}
         self.cold_tu = False
-        # name -> set of orders seen, from atomics fact pass
+        # atomic name -> [(order, line, in_ctor)], for the mixed-order check
         self.atomic_loads: dict[str, list[tuple[str, int, bool]]] = {}
         self.atomic_stores: dict[str, list[tuple[str, int, bool]]] = {}
 
@@ -373,31 +357,10 @@ def _match_forward(tokens, start, open_p, close_p):
     return n - 1
 
 
-def _collect_decl_types(tokens, names: frozenset) -> set[str]:
-    """Variable names declared with a template type whose name is in
-    `names` (e.g. atomic, unordered_map): pattern `name< ... > var`."""
-    found: set[str] = set()
-    i, n = 0, len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind == "id" and t.text in names and i + 1 < n \
-                and tokens[i + 1].text == "<":
-            close = _match_angle(tokens, i + 1)
-            j = close + 1
-            # skip alignas/attribute-ish ids? accept `> var` and `> var{...}`
-            if j < n and tokens[j].kind == "id" \
-                    and tokens[j].text not in CPP_KEYWORDS:
-                found.add(tokens[j].text)
-            i = close + 1
-            continue
-        i += 1
-    return found
-
-
 def _match_angle(tokens, start):
     """Close a template argument list opened at tokens[start] == '<'.
-    Tracks nesting of <> and () and gives up at `;` or `{` (not a template
-    after all)."""
+    Tracks nesting of <> and gives up at `;` or `{` (not a template after
+    all)."""
     depth = 0
     i, n = start, len(tokens)
     while i < n:
@@ -418,17 +381,51 @@ def _match_angle(tokens, start):
     return n - 1
 
 
+def _is_call(tokens, i) -> bool:
+    """tokens[i] is called: `name(` or `name<...>(`."""
+    j = i + 1
+    if j < len(tokens) and tokens[j].text == "<":
+        j = _match_angle(tokens, j) + 1
+    return j < len(tokens) and tokens[j].text == "("
+
+
+def _collect_decl_types(tokens, names: frozenset) -> set[str]:
+    """Variable names declared with a template type whose name is in
+    `names` (e.g. atomic, unordered_map): pattern `name< ... > var`."""
+    found: set[str] = set()
+    i, n = 0, len(tokens)
+    while i < n:
+        t = tokens[i]
+        if t.kind == "id" and t.text in names and i + 1 < n \
+                and tokens[i + 1].text == "<":
+            close = _match_angle(tokens, i + 1)
+            j = close + 1
+            if j < n and tokens[j].kind == "id" \
+                    and tokens[j].text not in CPP_KEYWORDS:
+                found.add(tokens[j].text)
+            i = close + 1
+            continue
+        i += 1
+    return found
+
+
 def parse_file(rel: str, text: str) -> FileFacts:
     tokens, comments = lex(text)
     facts = FileFacts(rel)
     facts.notes = collect_annotations(comments)
     facts.cold_tu = any(
         "cold-tu" in facts.notes.get(line, set()) for line in range(1, 31))
+    owners = _function_owners(tokens)
+    _scan(tokens, owners, facts)
+    return facts
 
-    atomic_vars = _collect_decl_types(tokens, frozenset(("atomic",)))
-    unordered_vars = _collect_decl_types(tokens, UNORDERED_TYPES)
 
+def _function_owners(tokens) -> list[FuncInfo | None]:
+    """Per token, the function definition it lies in (from the name through
+    any initializer list to the closing `}`), or None at namespace/class
+    scope."""
     n = len(tokens)
+    owners: list[FuncInfo | None] = [None] * n
     scope: list[tuple[str, str]] = []  # (kind: ns|class|block, name)
     stmt_start = 0  # token index where the current statement began
     i = 0
@@ -445,23 +442,24 @@ def parse_file(rel: str, text: str) -> FileFacts:
             stmt_start = i
             continue
         if t.kind == "punct" and t.text == "{":
-            # What does this brace open? Look at the statement tokens.
-            head = tokens[stmt_start:i]
-            kind, name = _classify_brace(head)
-            scope.append((kind, name))
+            scope.append(_classify_brace(tokens[stmt_start:i]))
             i += 1
             stmt_start = i
             continue
+        # Functions only appear at namespace/class scope; a `name(` inside a
+        # block is a call or an initializer.
         if t.kind == "id" and t.text not in CPP_KEYWORDS and i + 1 < n \
-                and tokens[i + 1].text == "(":
-            res = _try_function(tokens, i, stmt_start, scope, rel, facts,
-                                atomic_vars, unordered_vars)
+                and tokens[i + 1].text == "(" \
+                and not any(kind == "block" for kind, _ in scope):
+            res = _try_function(tokens, i, stmt_start, scope)
             if res is not None:
-                i, stmt_start = res, res
+                fn, end = res
+                if fn is not None:
+                    owners[i:end] = [fn] * (end - i)
+                i = stmt_start = end
                 continue
         i += 1
-    _index_atomic_orders(facts)
-    return facts
+    return owners
 
 
 def _classify_brace(head):
@@ -474,32 +472,31 @@ def _classify_brace(head):
     if any(k in ids for k in ("class", "struct", "union", "enum")):
         has_paren = any(t.text == "(" for t in head)
         if not has_paren:
-            # `struct X : Base {` — name is the id after the keyword
+            # `struct X : Base {` / `struct Outer::X {` — the name is the
+            # last (possibly qualified) id before the base clause.
             for idx, t in enumerate(head):
                 if t.kind == "id" and t.text in ("class", "struct", "union",
                                                  "enum"):
+                    names, prev = [], ""
                     for u in head[idx + 1:]:
+                        if u.text == ":":
+                            break
                         if u.kind == "id" and u.text not in CPP_KEYWORDS:
-                            return ("class", u.text)
+                            names = (names if prev == "::" else []) + [u.text]
+                        prev = u.text
+                    if names:
+                        return ("class", "::".join(names))
                     break
             return ("class", "<anon>")
     return ("block", "")
 
 
-def _try_function(tokens, name_idx, stmt_start, scope, rel, facts,
-                  atomic_vars, unordered_vars):
-    """tokens[name_idx] is an identifier followed by `(`. If this is a
-    function DEFINITION, consume through its body (extracting facts) and
-    return the index after the closing `}`. If it is a declaration, consume
-    through `;` (recording MULINK_HOT names). Otherwise return None."""
-    # Functions only appear at namespace/class scope — a call inside a
-    # function body is handled by the body walker, and _try_function is only
-    # invoked from the top-level cursor, which skips whole bodies.
-    if any(kind == "block" for kind, _ in scope):
-        return None
+def _try_function(tokens, name_idx, stmt_start, scope):
+    """tokens[name_idx] is an identifier followed by `(`. For a function
+    DEFINITION return (FuncInfo, index after its closing `}`); for a
+    declaration return (None, index after its `;`); otherwise None."""
     n = len(tokens)
-    open_paren = name_idx + 1
-    close_paren = _match_forward(tokens, open_paren, "(", ")")
+    close_paren = _match_forward(tokens, name_idx + 1, "(", ")")
     if close_paren >= n - 1:
         return None
 
@@ -511,254 +508,144 @@ def _try_function(tokens, name_idx, stmt_start, scope, rel, facts,
         qparts.insert(0, tokens[j - 1].text)
         j -= 2
 
-    head = tokens[stmt_start:name_idx]
-    head_ids = [t.text for t in head if t.kind == "id"]
-    hot = "MULINK_HOT" in head_ids
-
     # Scan past trailing qualifiers / attribute macros / ctor initializers.
     i = close_paren + 1
     depth = 0
     colon_state = False
     while i < n:
-        t = tokens[i]
-        text = t.text
+        text = tokens[i].text
         if depth == 0 and text == ";":
-            # Declaration. Remember hot names so headers can mark hot roots.
-            if hot:
-                facts.hot_decls.add(qparts[-1])
-            return i + 1
+            return None, i + 1
         if depth == 0 and text == "{":
             if colon_state and tokens[i - 1].kind == "id":
                 # Braced member initializer `a_{...}` — skip it.
                 i = _match_forward(tokens, i, "{", "}") + 1
                 continue
-            body_open = i
             break
+        if depth == 0 and text == "}":
+            return None
         if depth == 0 and text == ":":
             colon_state = True
         elif text == "(":
             depth += 1
         elif text == ")":
             depth -= 1
-        elif depth == 0 and text == "=":
-            # `= default` / `= delete` / `= 0` — declaration-like.
-            pass
-        elif depth == 0 and text in ("}",):
-            return None
-        elif depth == 0 and not colon_state and t.kind == "id" \
-                and text not in FUNC_QUALIFIERS and not text.isupper() \
-                and not text.startswith("MULINK_") and text not in ("->",):
-            # Trailing return types / unexpected ids: tolerate, keep going.
-            pass
         i += 1
     else:
         return None
 
-    body_close = _match_forward(tokens, body_open, "{", "}")
+    body_close = _match_forward(tokens, i, "{", "}")
     class_names = [name for kind, name in scope if kind == "class"]
     qname = "::".join([name for _, name in scope if name] + qparts)
     is_ctor = (len(qparts) >= 2 and qparts[-1] == qparts[-2]) or (
-        bool(class_names) and qparts[-1] == class_names[-1])
-    fn = FuncInfo(qparts[-1], qname, rel, tokens[name_idx].line, hot, is_ctor)
-    _walk_body(tokens, body_open + 1, body_close, fn, atomic_vars,
-               unordered_vars)
-    facts.functions.append(fn)
-    return body_close + 1
+        bool(class_names) and qparts[-1] == class_names[-1].split("::")[-1])
+    return FuncInfo(qname, is_ctor), body_close + 1
 
 
-def _walk_body(tokens, start, end, fn: FuncInfo, atomic_vars,
-               unordered_vars):
-    """Extract call sites and rule facts from a function body."""
-    i = start
-    while i < end:
-        t = tokens[i]
-        nxt = tokens[i + 1] if i + 1 < end else None
-        prev = tokens[i - 1] if i > start else None
+def _scan(tokens, owners, facts: FileFacts):
+    """Record every rule fact in the file, each tagged with the function
+    (if any) that encloses it."""
+    atomic_vars = _collect_decl_types(tokens, frozenset(("atomic",)))
+    unordered_vars = _collect_decl_types(tokens, UNORDERED_TYPES)
+    n = len(tokens)
 
-        if t.kind == "id":
-            # new-expression (operator new) — `new T`, `new (place) T`.
-            if t.text == "new":
-                fn.facts.append(("alloc-new", t.line, "new"))
-                i += 1
-                continue
-            if t.text == "fma" and nxt is not None and nxt.text == "(":
-                fn.facts.append(("fma", t.line, "fma"))
-            if t.text == "system_clock":
-                fn.facts.append(("ambient-time", t.line, "system_clock"))
-            if t.text == "time" and nxt is not None and nxt.text == "(":
-                close = _match_forward(tokens, i + 1, "(", ")")
-                args = [u.text for u in tokens[i + 2:close]]
-                if args in (["NULL"], ["nullptr"], ["0"], []):
-                    fn.facts.append(("ambient-time", t.line, "time()"))
-            if t.text in AMBIENT_RNG_NAMES:
-                fn.facts.append(("ambient-rng", t.line, t.text))
-            if t.text in ("ScopedStageTimer", "TraceSpan") \
-                    and prev is not None and prev.text == "::":
-                fn.facts.append(("obs-direct", t.line, f"obs::{t.text}"))
+    def add(kind, detail):  # binds the loop's current `t` and `fn`
+        facts.facts.append((kind, t.line, detail, fn))
 
-            # Member access chains: `.name(` / `->name(`.
-            if prev is not None and prev.text in (".", "->") \
-                    and nxt is not None and nxt.text == "(":
-                recv = tokens[i - 2] if i - 2 >= start else None
-                recv_name = recv.text if recv is not None \
-                    and recv.kind == "id" else ""
-                close = _match_forward(tokens, i + 1, "(", ")")
-                arg_ids = [u.text for u in tokens[i + 2:close]
-                           if u.kind == "id"]
-                if t.text in ALLOC_MEMBER_CALLS and t.text != "clear_and_shrink":
-                    fn.facts.append(("alloc-member", t.line, t.text))
-                if t.text in ATOMIC_MEMBER_CALLS:
-                    is_atomic = recv_name in atomic_vars
-                    has_order = any(a in MEMORY_ORDERS for a in arg_ids)
-                    if is_atomic:
-                        kind = ("atomic-load" if t.text == "load" else
-                                "atomic-store" if t.text == "store" else
-                                "atomic-rmw")
-                        order = next((a for a in arg_ids
-                                      if a in MEMORY_ORDERS), "")
-                        if not has_order:
-                            fn.facts.append(
-                                ("atomic-noorder", t.line,
-                                 f"{recv_name}.{t.text}"))
-                        fn.facts.append(
-                            (kind, t.line, f"{recv_name}|{order}"))
-                if t.text == "Add" and tokens[i + 2:i + 5] and _is_obs_enum(
-                        tokens, i + 2, close, "Counter"):
-                    fn.facts.append(("obs-direct", t.line, "Registry::Add"))
-                if t.text == "Set" and _is_obs_enum(tokens, i + 2, close,
-                                                    "Gauge"):
-                    fn.facts.append(("obs-direct", t.line, "Registry::Set"))
-                if t.text in ("RecordStageNs", "SampleIngestTick"):
-                    fn.facts.append(
-                        ("obs-direct", t.line, f"Registry::{t.text}"))
+    for i, t in enumerate(tokens):
+        fn = owners[i]
+        if t.kind == "pp":
+            m = INTRINSIC_PP_RE.search(t.text)
+            if m:
+                add("intrinsic", m.group(0).strip())
+            continue
+        if t.kind != "id":
+            continue
+        text = t.text
+        nxt = tokens[i + 1].text if i + 1 < n else ""
+        prev = tokens[i - 1].text if i > 0 else ""
 
-            # Call sites for the call graph: `name(` not preceded by
-            # `.`/`->` (member calls can't be hot-root helpers) and not a
-            # keyword/cast.
-            if nxt is not None and nxt.text == "(" \
-                    and t.text not in CPP_KEYWORDS:
-                fn.calls.add(t.text)
+        # hot-path-alloc
+        if text == "new":
+            add("alloc", "new")
+        elif text == "function" and prev == "::" and nxt == "<":
+            add("alloc", "std::function")
+        elif text in ALLOC_FREE_CALLS and _is_call(tokens, i):
+            add("alloc", text)
+        elif text in ALLOC_MEMBER_CALLS and prev in (".", "->") \
+                and _is_call(tokens, i):
+            add("alloc", text)
 
-            # std::function construction: `function<...> name` (declaring a
-            # type-erased callable allocates for captures).
-            if t.text == "function" and prev is not None \
-                    and prev.text == "::" and nxt is not None \
-                    and nxt.text == "<":
-                fn.facts.append(("alloc-function", t.line, "std::function"))
-            if t.text in ALLOC_FREE_CALLS and nxt is not None \
-                    and nxt.text == "(":
-                fn.facts.append(("alloc-call", t.line, t.text))
+        # determinism
+        if text == "fma" and nxt == "(":
+            add("fma", "fma")
+        elif text == "system_clock":
+            add("ambient-time", "system_clock")
+        elif text == "time" and nxt == "(":
+            close = _match_forward(tokens, i + 1, "(", ")")
+            args = [u.text for u in tokens[i + 2:close]]
+            if args in (["NULL"], ["nullptr"], ["0"], []):
+                add("ambient-time", "time()")
+        elif text in AMBIENT_RNG_NAMES:
+            add("ambient-rng", text)
+        elif text == "for" and nxt == "(":
+            close = _match_forward(tokens, i + 1, "(", ")")
+            inner = tokens[i + 2:close]
+            colon = next((k for k, u in enumerate(inner) if u.text == ":"),
+                         None)
+            if colon is not None:
+                hits = {u.text for u in inner[colon + 1:]} & unordered_vars
+                if hits:
+                    add("unordered-iter", sorted(hits)[0])
 
-            # Atomic operator-form access: ++x / x++ / x op= / x = v.
-            if t.text in atomic_vars:
-                if (prev is not None and prev.text in ("++", "--")) or \
-                        (nxt is not None and nxt.text in ("++", "--")):
-                    fn.facts.append(("atomic-op", t.line, f"{t.text}++"))
-                elif nxt is not None and nxt.text in (
-                        "=", "+=", "-=", "&=", "|=", "^="):
-                    # Only statement-position assignments: `x = v;` after
-                    # `;`/`{`/`(`/`,`. A preceding identifier means `x` is
-                    # being *declared* (`std::size_t seq = ...` shadowing an
-                    # atomic member, as in spsc_ring.h) — not an atomic op.
-                    if prev is None or (prev.kind == "punct"
-                                        and prev.text in (";", "{", "}", "(",
-                                                          ",", ":")):
-                        fn.facts.append(
-                            ("atomic-op", t.line, f"{t.text} {nxt.text}"))
+        # stdout
+        if text in ("cout", "stdout") or (text in ("printf", "puts")
+                                          and nxt == "("):
+            add("stdout", text)
 
-        if t.kind == "id" and t.text == "for":
-            # Range-for over an unordered container?
-            if nxt is not None and nxt.text == "(":
-                close = _match_forward(tokens, i + 1, "(", ")")
-                inner = tokens[i + 2:close]
-                colon = next((k for k, u in enumerate(inner)
-                              if u.text == ":" ), None)
-                if colon is not None:
-                    range_ids = {u.text for u in inner[colon + 1:]
-                                 if u.kind == "id"}
-                    if range_ids & unordered_vars:
-                        var = sorted(range_ids & unordered_vars)[0]
-                        fn.facts.append(("unordered-iter", t.line, var))
-        i += 1
+        # intrinsics
+        if (INTRINSIC_CALL_RE.fullmatch(text) and nxt == "(") \
+                or INTRINSIC_TYPE_RE.fullmatch(text):
+            add("intrinsic", text)
 
+        # obs-discipline: direct construction
+        if text in ("ScopedStageTimer", "TraceSpan") and prev == "::":
+            add("obs-direct", f"obs::{text}")
 
-def _is_obs_enum(tokens, start, end, enum_name) -> bool:
-    ids = [t.text for t in tokens[start:min(end, start + 8)]]
-    return "obs" in ids and enum_name in ids
+        # Atomics: operator form ++x / x++ / x op= v.
+        if text in atomic_vars:
+            if prev in ("++", "--") or nxt in ("++", "--"):
+                add("atomic-op", f"{text}++")
+            elif nxt in ("=", "+=", "-=", "&=", "|=", "^=") and (
+                    i == 0 or (tokens[i - 1].kind == "punct" and prev in (
+                        ";", "{", "}", "(", ",", ":"))):
+                # Only statement-position assignments: `x = v;` after
+                # `;`/`{`/`(`/`,`. A preceding identifier means `x` is being
+                # *declared* (`std::size_t seq = ...` shadowing an atomic
+                # member, as in spsc_ring.h) — not an atomic op.
+                add("atomic-op", f"{text} {nxt}")
 
-
-def _index_atomic_orders(facts: FileFacts):
-    for fn in facts.functions:
-        for kind, line, detail in fn.facts:
-            if kind in ("atomic-load", "atomic-store"):
-                name, _, order = detail.partition("|")
-                target = (facts.atomic_loads if kind == "atomic-load"
+        # Member calls `.name(` / `->name(`: atomics and obs recording.
+        if prev not in (".", "->") or nxt != "(":
+            continue
+        close = _match_forward(tokens, i + 1, "(", ")")
+        arg_ids = [u.text for u in tokens[i + 2:close] if u.kind == "id"]
+        recv_name = tokens[i - 2].text if i >= 2 \
+            and tokens[i - 2].kind == "id" else ""
+        if text in ATOMIC_MEMBER_CALLS and recv_name in atomic_vars:
+            order = next((a for a in arg_ids if a in MEMORY_ORDERS), "")
+            if not order:
+                add("atomic-noorder", f"{recv_name}.{text}")
+            if text in ("load", "store"):
+                target = (facts.atomic_loads if text == "load"
                           else facts.atomic_stores)
-                target.setdefault(name, []).append((order, line, fn.is_ctor))
-
-
-# ---------------------------------------------------------------------------
-# cindex backend (optional refinement; soft-skips when unavailable)
-# ---------------------------------------------------------------------------
-
-def load_cindex():
-    """Return the clang.cindex module with a working libclang, or None."""
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    try:
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        # Module present but no loadable libclang — try well-known names.
-        for name in ("libclang.so", "libclang-14.so", "libclang.so.1",
-                     "libclang-15.so", "libclang-16.so"):
-            try:
-                cindex.Config.set_library_file(name)
-                cindex.Index.create()
-                return cindex
-            except Exception:
-                cindex.Config.loaded = False
-        return None
-
-
-def cindex_refine(cindex, root: Path, rel: str, micro: FileFacts):
-    """Re-derive the hot-path-alloc and atomics facts for one file with a
-    real AST, keeping the micro facts when parsing fails. The lexical rules
-    (determinism, obs-discipline) stay on the micro engine by design: they
-    are name-based and the lexer is already exact for them."""
-    try:
-        index = cindex.Index.create()
-        args = ["-x", "c++", "-std=c++20", f"-I{root / 'src'}",
-                "-I" + str(root / "tools")]
-        tu = index.parse(str(root / rel), args=args)
-    except Exception:
-        return micro
-
-    CursorKind = cindex.CursorKind
-    by_line = {fn.line: fn for fn in micro.functions}
-
-    def enclosing(fn_cursor):
-        return by_line.get(fn_cursor.location.line)
-
-    try:
-        for cursor in tu.cursor.walk_preorder():
-            loc = cursor.location
-            if loc.file is None or Path(loc.file.name) != root / rel:
-                continue
-            if cursor.kind in (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
-                               CursorKind.CONSTRUCTOR):
-                fn = by_line.get(loc.line)
-                if fn is not None and cursor.is_definition():
-                    # USR-precise call edges sharpen the name-matched graph.
-                    for child in cursor.walk_preorder():
-                        if child.kind == CursorKind.CALL_EXPR \
-                                and child.referenced is not None:
-                            fn.calls.add(child.referenced.spelling)
-    except Exception:
-        pass
-    return micro
+                target.setdefault(recv_name, []).append(
+                    (order, t.line, fn is not None and fn.is_ctor))
+        head = arg_ids[:8]
+        if (text == "Add" and "obs" in head and "Counter" in head) \
+                or (text == "Set" and "obs" in head and "Gauge" in head) \
+                or text in ("RecordStageNs", "SampleIngestTick"):
+            add("obs-direct", f"Registry::{text}")
 
 
 # ---------------------------------------------------------------------------
@@ -781,171 +668,98 @@ class Finding:
         return {"rule": self.rule, "file": self.path, "line": self.line,
                 "function": self.func, "text": self.text}
 
-    def fingerprint(self):
-        # Line-free so baseline entries survive unrelated edits.
-        key = f"{self.rule}|{self.path}|{self.func}|{self.text}"
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
-
 
 def in_dirs(rel: str, dirs) -> bool:
     return any(rel.startswith(d + "/") for d in dirs)
 
 
-def rule_hot_path_alloc(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    """Allocations reachable from MULINK_HOT functions. Reachability is the
-    fixpoint of name-matched (cindex: reference-matched) call edges,
-    restricted to functions defined in the hot-path directories."""
-    hot_names: set[str] = set()
-    for facts in all_facts.values():
-        hot_names |= facts.hot_decls
-        for fn in facts.functions:
-            if fn.hot:
-                hot_names.add(fn.name)
-
-    # name -> defs in hot dirs
-    defs: dict[str, list[tuple[FileFacts, FuncInfo]]] = {}
-    for facts in all_facts.values():
-        if not in_dirs(facts.rel, HOT_PATH_DIRS) or facts.cold_tu:
-            continue
-        for fn in facts.functions:
-            defs.setdefault(fn.name, []).append((facts, fn))
-
-    reachable: set[int] = set()
-    frontier = [fn for name in hot_names for _, fn in defs.get(name, ())]
-    while frontier:
-        fn = frontier.pop()
-        if id(fn) in reachable:
-            continue
-        reachable.add(id(fn))
-        for callee in fn.calls:
-            for _, target in defs.get(callee, ()):
-                if id(target) not in reachable:
-                    frontier.append(target)
-
-    out = []
-    for facts in all_facts.values():
-        if not in_dirs(facts.rel, HOT_PATH_DIRS) or facts.cold_tu:
-            continue
-        for fn in facts.functions:
-            if id(fn) not in reachable or fn.is_ctor:
-                continue
-            for kind, line, detail in fn.facts:
-                if not kind.startswith("alloc-"):
-                    continue
-                if allowed(facts.notes, line, "alloc"):
-                    continue
-                out.append(Finding(
-                    "hot-path-alloc", facts.rel, line, fn.qname,
-                    f"`{detail}` allocates on a MULINK_HOT-reachable path — "
-                    "hoist to setup or annotate "
-                    "`// mulink-lint: allow(alloc): <why>`"))
-    return out
-
-
-def rule_determinism(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    out = []
-    for facts in all_facts.values():
-        in_kernels = facts.rel.startswith(KERNEL_DIR + "/")
-        is_rng_home = bool(RNG_HOME.match(facts.rel))
-        for fn in facts.functions:
-            for kind, line, detail in fn.facts:
-                if allowed(facts.notes, line, "determinism"):
-                    continue
-                if kind == "fma" and not in_kernels:
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        "std::fma outside src/kernels — the kernel layer "
-                        "owns the FP-contraction policy (DESIGN.md §14); "
-                        "contracted rounding breaks cross-backend "
-                        "bit-equality"))
-                elif kind == "unordered-iter":
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        f"range-for over unordered container `{detail}` — "
-                        "iteration order is unspecified; sort or use an "
-                        "ordered mirror before anything serialized"))
-                elif kind == "ambient-time" and not is_rng_home:
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        f"wall-clock source `{detail}` in library code — "
-                        "scores and artifacts must derive only from inputs "
-                        "and seeds (steady_clock timing is fine)"))
-                elif kind == "ambient-rng" and not is_rng_home:
-                    out.append(Finding(
-                        "determinism", facts.rel, line, fn.qname,
-                        f"ambient RNG `{detail}` outside src/common/rng — "
-                        "draw through the forkable mulink::Rng"))
-    return out
-
-
-def rule_atomics(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    out = []
-    for facts in all_facts.values():
-        for fn in facts.functions:
-            for kind, line, detail in fn.facts:
-                if allowed(facts.notes, line, "atomics"):
-                    continue
-                if kind == "atomic-noorder":
-                    out.append(Finding(
-                        "atomics", facts.rel, line, fn.qname,
-                        f"`{detail}` without an explicit memory_order — "
-                        "seq_cst-by-default hides the intended ordering; "
-                        "say it out loud"))
-                elif kind == "atomic-op":
-                    out.append(Finding(
-                        "atomics", facts.rel, line, fn.qname,
-                        f"operator-form atomic access `{detail}` is "
-                        "seq_cst by definition — use "
-                        "fetch_add/store/load with an explicit order"))
-        # Mixed-order analysis: relaxed store outside a ctor to a member
-        # that has acquire/seq_cst loads — the release edge is missing.
-        for name, stores in facts.atomic_stores.items():
-            loads = facts.atomic_loads.get(name, [])
-            acquire_loaded = any(
-                order in ("memory_order_acquire", "acquire",
-                          "memory_order_seq_cst", "seq_cst")
-                for order, _, _ in loads)
-            if not acquire_loaded:
-                continue
-            for order, line, in_ctor in stores:
-                if in_ctor or order not in ("memory_order_relaxed",
-                                            "relaxed"):
-                    continue
-                if allowed(facts.notes, line, "atomics"):
-                    continue
-                out.append(Finding(
-                    "atomics", facts.rel, line, "",
-                    f"relaxed store to `{name}`, which is acquire-loaded "
-                    "elsewhere in this file — the acquire has no release "
-                    "edge to pair with (constructor seeding is exempt)"))
-    return out
-
-
-def rule_obs_discipline(all_facts: dict[str, FileFacts]) -> list[Finding]:
-    out = []
-    for facts in all_facts.values():
-        if facts.rel.startswith(OBS_DIR + "/"):
-            continue
-        for fn in facts.functions:
-            for kind, line, detail in fn.facts:
-                if kind != "obs-direct":
-                    continue
-                if allowed(facts.notes, line, "obs"):
-                    continue
-                out.append(Finding(
-                    "obs-discipline", facts.rel, line, fn.qname,
-                    f"direct obs recording `{detail}` — route through the "
-                    "MULINK_OBS_* macros so the null-sink check and the "
-                    "MULINK_OBS kill switch stay total"))
-    return out
-
-
-RULE_FNS = {
-    "hot-path-alloc": rule_hot_path_alloc,
-    "determinism": rule_determinism,
-    "atomics": rule_atomics,
-    "obs-discipline": rule_obs_discipline,
+# fact kind -> (rule, scope predicate over FileFacts, message template)
+FACT_RULES = {
+    "alloc": (
+        "hot-path-alloc",
+        lambda f: in_dirs(f.rel, HOT_PATH_DIRS) and not f.cold_tu,
+        "`{}` allocates in a hot-path TU — hoist to setup or annotate "
+        "`// mulink-lint: allow(alloc): <why>`"),
+    "fma": (
+        "determinism", lambda f: not in_dirs(f.rel, (KERNEL_DIR,)),
+        "std::fma outside src/kernels — the kernel layer owns the "
+        "FP-contraction policy (DESIGN.md §14); contracted rounding breaks "
+        "cross-backend bit-equality"),
+    "unordered-iter": (
+        "determinism", lambda f: True,
+        "range-for over unordered container `{}` — iteration order is "
+        "unspecified; sort or use an ordered mirror before anything "
+        "serialized"),
+    "ambient-time": (
+        "determinism", lambda f: not RNG_HOME.match(f.rel),
+        "wall-clock source `{}` — scores and artifacts must derive only from "
+        "inputs and seeds (steady_clock timing is fine)"),
+    "ambient-rng": (
+        "determinism", lambda f: not RNG_HOME.match(f.rel),
+        "ambient RNG `{}` outside src/common/rng — draw through the forkable "
+        "mulink::Rng"),
+    "atomic-noorder": (
+        "atomics", lambda f: True,
+        "`{}` without an explicit memory_order — seq_cst-by-default hides "
+        "the intended ordering; say it out loud"),
+    "atomic-op": (
+        "atomics", lambda f: True,
+        "operator-form atomic access `{}` is seq_cst by definition — use "
+        "fetch_add/store/load with an explicit order"),
+    "obs-direct": (
+        "obs-discipline",
+        lambda f: in_dirs(f.rel, ("src",)) and not in_dirs(f.rel, (OBS_DIR,)),
+        "direct obs recording `{}` — route through the MULINK_OBS_* macros "
+        "so the null-sink check and the MULINK_OBS kill switch stay total"),
+    "stdout": (
+        "stdout", lambda f: in_dirs(f.rel, ("src",)),
+        "stdout write `{}` in library code — return data or take an "
+        "std::ostream&; printing belongs to tools/examples/bench"),
+    "intrinsic": (
+        "intrinsics", lambda f: not in_dirs(f.rel, (KERNEL_DIR,)),
+        "SIMD intrinsic `{}` outside src/kernels — the kernel layer owns "
+        "vector code so scalar/AVX2 parity stays testable"),
 }
+
+
+def _mixed_order_findings(facts: FileFacts) -> list[Finding]:
+    """Relaxed store outside a ctor to a member that has acquire/seq_cst
+    loads in the same file — the release edge is missing."""
+    out = []
+    for name, stores in facts.atomic_stores.items():
+        loads = facts.atomic_loads.get(name, [])
+        if not any(order in ("memory_order_acquire", "acquire",
+                             "memory_order_seq_cst", "seq_cst")
+                   for order, _, _ in loads):
+            continue
+        for order, line, in_ctor in stores:
+            if in_ctor or order not in ("memory_order_relaxed", "relaxed"):
+                continue
+            if allowed(facts.notes, line, "atomics"):
+                continue
+            out.append(Finding(
+                "atomics", facts.rel, line, "",
+                f"relaxed store to `{name}`, which is acquire-loaded "
+                "elsewhere in this file — the acquire has no release edge "
+                "to pair with (constructor seeding is exempt)"))
+    return out
+
+
+def analyze(all_facts: dict[str, FileFacts], active) -> list[Finding]:
+    out = []
+    for facts in all_facts.values():
+        for kind, line, detail, fn in facts.facts:
+            rule, in_scope, message = FACT_RULES[kind]
+            if rule not in active or not in_scope(facts) \
+                    or allowed(facts.notes, line, RULE_TAG[rule]):
+                continue
+            out.append(Finding(rule, facts.rel, line,
+                               fn.qname if fn is not None else "",
+                               message.format(detail)))
+        if "atomics" in active:
+            out.extend(_mixed_order_findings(facts))
+    out.sort(key=lambda f: (f.path, f.line, f.rule))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -971,11 +785,11 @@ def collect_files(root: Path, args_files: list[str]) -> list[Path]:
             files.append(p)
         return files
     files = []
-    base = root / "src"
-    if base.is_dir():
-        for p in sorted(base.rglob("*")):
-            if p.suffix in SOURCE_SUFFIXES and p.is_file():
-                files.append(p)
+    for top in SCAN_DIRS:
+        base = root / top
+        if base.is_dir():
+            files.extend(p for p in sorted(base.rglob("*"))
+                         if p.suffix in SOURCE_SUFFIXES and p.is_file())
     return files
 
 
@@ -988,15 +802,9 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
                         help="run only this rule (repeatable; default: all)")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--json", action="store_true", help="machine output")
-    parser.add_argument("--backend", choices=("auto", "micro", "cindex"),
-                        default="auto",
-                        help="auto = cindex when importable, else micro")
-    parser.add_argument("--baseline", help="filter findings against this "
-                        "baseline JSON (accepted debt; ships empty)")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="write current findings as the new baseline")
     parser.add_argument("files", nargs="*",
-                        help="files to analyze (default: src tree)")
+                        help="files to analyze (default: src, tools, "
+                        "examples, bench)")
     try:
         opts = parser.parse_args(argv)
     except SystemExit as err:
@@ -1011,18 +819,6 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
     if not root.is_dir():
         print(f"mulink-analyze: no such directory: {opts.root}", file=stderr)
         return EXIT_USAGE
-    active = tuple(opts.rule) if opts.rule else RULES
-
-    cindex = None
-    if opts.backend in ("auto", "cindex"):
-        cindex = load_cindex()
-    require = os.environ.get("MULINK_REQUIRE_CINDEX") == "1"
-    if cindex is None and (opts.backend == "cindex" or require):
-        print("mulink-analyze: clang.cindex/libclang unavailable but "
-              "demanded (--backend cindex or MULINK_REQUIRE_CINDEX=1)",
-              file=stderr)
-        return EXIT_USAGE
-    backend = "cindex" if cindex is not None else "micro"
 
     try:
         files = collect_files(root, opts.files)
@@ -1038,43 +834,12 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
         except OSError as err:
             print(f"mulink-analyze: cannot read {path}: {err}", file=stderr)
             return EXIT_USAGE
-        facts = parse_file(rel, text)
-        if cindex is not None:
-            facts = cindex_refine(cindex, root, rel, facts)
-        all_facts[rel] = facts
+        all_facts[rel] = parse_file(rel, text)
 
-    findings: list[Finding] = []
-    for rule in active:
-        findings.extend(RULE_FNS[rule](all_facts))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-
-    if opts.write_baseline:
-        payload = {"findings": [
-            {"fingerprint": f.fingerprint(), **f.as_dict()}
-            for f in findings]}
-        Path(opts.write_baseline).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-    if opts.baseline:
-        base_path = Path(opts.baseline)
-        if not base_path.is_absolute():
-            base_path = root / base_path
-        if not base_path.is_file():
-            print(f"mulink-analyze: no such baseline: {opts.baseline}",
-                  file=stderr)
-            return EXIT_USAGE
-        try:
-            accepted = {entry["fingerprint"] for entry in
-                        json.loads(base_path.read_text())["findings"]}
-        except (KeyError, TypeError, json.JSONDecodeError) as err:
-            print(f"mulink-analyze: malformed baseline {opts.baseline}: "
-                  f"{err}", file=stderr)
-            return EXIT_USAGE
-        findings = [f for f in findings if f.fingerprint() not in accepted]
+    findings = analyze(all_facts, set(opts.rule or RULES))
 
     if opts.json:
         json.dump({
-            "backend": backend,
             "files_scanned": len(files),
             "findings": [f.as_dict() for f in findings],
         }, stdout, indent=2)
@@ -1082,7 +847,7 @@ def run(argv, stdout=sys.stdout, stderr=sys.stderr) -> int:
     else:
         for f in findings:
             print(str(f), file=stdout)
-        print(f"mulink-analyze[{backend}]: {len(files)} files, "
+        print(f"mulink-analyze: {len(files)} files, "
               f"{len(findings)} finding(s)", file=stdout)
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
