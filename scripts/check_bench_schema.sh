@@ -10,7 +10,9 @@
 #   * BENCH_drift.json (fig_drift) — CI fails if the drift campaign loses
 #     either arm, the per-day decay curves, the adaptive arm's ladder
 #     statistics, or the multi-thread determinism verdict (bit_identical
-#     must be true).
+#     must be true); on the --smoke run it also fails if the operating
+#     points leave their recorded bounds (adaptive detection and false
+#     positives, static false positives).
 #   * BENCH_serve.json (mulink_serve) — CI fails if the serving tier loses
 #     its fleet rows, the per-shard queue-depth percentiles, the headline's
 #     zero-allocation guarantee, the scaling curve, or the shard-count
@@ -142,6 +144,20 @@ def check_drift(doc):
             "determinism ran fewer than 2 thread counts")
     require(determinism.get("bit_identical") is True,
             "campaign is not bit-identical across thread counts")
+
+    # Quality bounds on the --smoke campaign (bit-reproducible, so they sit
+    # at its recorded operating points: adaptive 100% detection at 26.67%
+    # FP, static 61.67% FP). The adaptive arm must not lose detections or
+    # gain false positives; the static arm must keep showing the drift the
+    # ladder exists to absorb.
+    if doc.get("smoke") is True:
+        for arm, key, op, bound in (("adaptive", "detection_pct", ">=", 100.0),
+                                    ("adaptive", "fp_pct", "<=", 26.67),
+                                    ("static", "fp_pct", ">=", 61.66)):
+            value = doc.get(arm, {}).get(key)
+            ok = isinstance(value, (int, float)) and (
+                value >= bound if op == ">=" else value <= bound)
+            require(ok, f"smoke {arm} {key} = {value}, expected {op} {bound}")
 
     return (f"{days} days x {doc.get('links')} links, "
             f"smoke={doc.get('smoke')}, "

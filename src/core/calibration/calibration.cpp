@@ -15,6 +15,19 @@ namespace {
 constexpr double kScoreFloor = 1e-12;
 constexpr double kLogSigmaFloor = 0.05;
 
+// A staged profile a swap may install: every cell finite and a positive
+// mean power (Detector::ApplyProfile's precondition). Without the frame
+// guard nothing keeps corrupt frames out of the quiet windows, and one NaN
+// or saturated cell poisons the posterior for good.
+bool InstallableProfile(const ProfilePosterior& staged) {
+  double power_sum = 0.0;  // NaN or infinite when any cell is
+  for (const double power : staged.power()) power_sum += power;
+  const auto finite = [](double v) { return std::isfinite(v); };
+  return std::isfinite(power_sum) && power_sum > 0.0 &&
+         std::ranges::all_of(staged.amplitude(), finite) &&
+         std::ranges::all_of(staged.variance(), finite);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- scores --
@@ -608,8 +621,14 @@ bool LinkCalibrator::ObserveDecision(double score, double posterior,
       case LadderState::kRecalibrating: {
         if (stage_packets_) StageQuietPackets(window);
         if (++recal_collected_ >= config_.recalibration_quiet_windows) {
-          ApplySwap(detector);
-          swapped = true;
+          if (InstallableProfile(profile_posterior_)) {
+            ApplySwap(detector);
+            swapped = true;
+          } else {
+            // A poisoned collection fails like a starved one: the link
+            // degrades instead of installing (or throwing on) the profile.
+            AbortRecalibration();
+          }
         }
         break;
       }
@@ -657,9 +676,9 @@ void LinkCalibrator::FillHealth(nic::LinkHealth& health) const {
   health.quiet_windows = quiet_windows_;
   health.profile_swaps = profile_swaps_;
   health.adaptive_threshold = adaptive_threshold_;
-  // The ladder owns the drift flag when enabled: raised from
-  // DriftSuspected on, and — unlike the legacy flag-only watchdog —
-  // cleared again by a successful recalibration or a drift walk-back.
+  // The ladder is the only drift sensor: the flag is raised from
+  // DriftSuspected on and cleared again by a successful recalibration or a
+  // drift walk-back.
   health.profile_drift = drift_flagged();
   health.empty_score_ewma = score_ewma_;
 }

@@ -2,11 +2,10 @@
 //
 // The paper's 92%/4.5% operating point assumes a fresh static profile s(0),
 // but deployments drift for weeks: thermal gain ramps, furniture moves, AGC
-// retrains. The profile-drift watchdog (GuardedIngest in core/engine.cpp)
-// only raises a flag; this subsystem acts on it. Following the empirical-fading Bayesian
-// calibration of Schmidhammer et al. (arXiv:2205.05331) with link-level fade
-// statistics in the spirit of Yiğitler et al. (arXiv:1405.7237), each link
-// maintains
+// retrains. This subsystem is the link's only drift sensor, and it acts on
+// what it senses. Following the empirical-fading Bayesian calibration of
+// Schmidhammer et al. (arXiv:2205.05331) with link-level fade statistics in
+// the spirit of Yiğitler et al. (arXiv:1405.7237), each link maintains
 //
 //  * a posterior over the quiet-period window score — exponentially
 //    forgotten Gaussian sufficient statistics (weight, mean, M2) in both the
@@ -32,16 +31,17 @@
 //
 //   Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen
 //
-// replacing the flag-only watchdog: a persistent quiet-score EWMA excursion
-// toward the threshold suspects drift, confirmation switches the posteriors
-// to a fast forgetting factor and collects quiet evidence, and the swap
-// installs the staged profile, threshold and HMM emission in place — double
-// buffered between windows, the stream never drops a packet and the hot
-// path never allocates (the posterior buffers are preallocated; the swap
-// itself is the cold path). A confirmed AGC step re-baselines through the
-// same Recalibrating state without waiting out drift confirmation. Repeated
-// failed recalibrations degrade and finally freeze the ladder; only Reset
-// re-arms a frozen link. State is surfaced through nic::LinkHealth, the
+// where a persistent quiet-score EWMA excursion toward the threshold
+// suspects drift, confirmation switches the posteriors to a fast forgetting
+// factor and collects quiet evidence, and the swap installs the staged
+// profile, threshold and HMM emission in place — double buffered between
+// windows, the stream never drops a packet and the hot path never allocates
+// (the posterior buffers are preallocated; the swap itself is the cold
+// path). A confirmed AGC step re-baselines through the same Recalibrating
+// state without waiting out drift confirmation. Repeated failed
+// recalibrations — a room that never looks vacant, or a staged profile that
+// is not finite (corrupt frames reach it when the guard is off) — degrade
+// and finally freeze the ladder; only Reset re-arms a frozen link. State is surfaced through nic::LinkHealth, the
 // MULINK_OBS_* counters/gauges, and the CLI / intrusion monitor.
 #pragma once
 
@@ -63,9 +63,9 @@ namespace mulink::core {
 using LadderState = nic::CalibrationLadder;
 
 struct CalibrationConfig {
-  // Master switch. Off: the LinkCalibrator is inert and the engine's
-  // flag-only drift watchdog keeps sole ownership of
-  // LinkHealth::profile_drift.
+  // Master switch. Off: the LinkCalibrator is inert, and the link senses no
+  // drift at all — LinkHealth::profile_drift stays false and
+  // empty_score_ewma 0.
   bool enabled = false;
 
   // Quiet-evidence gate: a clean decision with posterior at or below this
@@ -304,7 +304,7 @@ struct CalibrationWindowContext {
 
 // Per-link calibration state: both posteriors, the staged quiet-packet ring
 // for the angular refresh, and the recalibration ladder. Owned by
-// SensingEngine's LinkState next to its guarded-ingest state and driven
+// SensingEngine's LinkState next to its frame guard and driven
 // once per decision, so batch and packet-at-a-time ingest adapt
 // bit-identically.
 class LinkCalibrator {
@@ -331,7 +331,7 @@ class LinkCalibrator {
                        const CalibrationWindowContext& context);
 
   LadderState state() const { return state_; }
-  // Drift flag the ladder exposes in place of the legacy watchdog: set from
+  // Drift flag exported as LinkHealth::profile_drift: set from
   // DriftSuspected on, cleared by a successful swap or a walk-back.
   bool drift_flagged() const {
     return state_ != LadderState::kHealthy;
@@ -363,7 +363,7 @@ class LinkCalibrator {
   void Reset(const Detector& detector);
 
   // Observability shard of the owning link (null = no-op sink), re-pointed
-  // by the owner every push, like the link's guarded-ingest shard.
+  // by the owner every push.
   obs::Registry* metrics = nullptr;
 
  private:

@@ -28,6 +28,12 @@ std::uint64_t NextProfileVersion() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+// Gaussian smoothing (degrees) applied to pseudospectra before they are
+// compared / inverted into Eq. 17 weights. Roughly the 3-antenna array's
+// angular resolution; keeps the spectrum distance stable under the +-1
+// grid-point peak jitter of finite-sample MUSIC.
+constexpr double kSpectrumSmoothingDeg = 6.0;
+
 }  // namespace
 
 const char* ToString(DetectionScheme scheme) {
@@ -140,7 +146,7 @@ Detector Detector::Calibrate(const std::vector<wifi::CsiPacket>& empty_session,
     d.static_spectrum_ =
         ComputeMusicSpectrum(d.retained_calibration_, array, band,
                              config.music)
-            .Smoothed(config.spectrum_smoothing_deg);
+            .Smoothed(kSpectrumSmoothingDeg);
     d.path_weights_ =
         ComputePathWeights(d.static_spectrum_, config.path_weighting);
   }
@@ -326,21 +332,26 @@ void Detector::ApplyProfile(std::span<const double> power,
   MULINK_REQUIRE(power.size() == cells && amplitude.size() == cells &&
                      variance.size() == cells,
                  "Detector::ApplyProfile: shape mismatch");
+  // Checked before anything is written: a rejected profile leaves the
+  // active one intact.
   double power_sum = 0.0, amp_sum = 0.0;
+  for (std::size_t idx = 0; idx < cells; ++idx) {
+    power_sum += power[idx];
+    amp_sum += amplitude[idx];
+  }
+  const double scale_power = power_sum / static_cast<double>(cells);
+  MULINK_REQUIRE(std::isfinite(scale_power) && scale_power > 0.0,
+                 "Detector::ApplyProfile: staged profile has no power");
   for (std::size_t m = 0; m < num_antennas_; ++m) {
     for (std::size_t k = 0; k < num_subcarriers_; ++k) {
       const std::size_t idx = m * num_subcarriers_ + k;
       profile_power_[m][k] = power[idx];
       profile_amplitude_[m][k] = amplitude[idx];
       profile_variance_[m][k] = variance[idx];
-      power_sum += power[idx];
-      amp_sum += amplitude[idx];
     }
   }
-  profile_scale_power_ = power_sum / static_cast<double>(cells);
+  profile_scale_power_ = scale_power;
   profile_scale_amplitude_ = amp_sum / static_cast<double>(cells);
-  MULINK_REQUIRE(profile_scale_power_ > 0.0,
-                 "Detector::ApplyProfile: staged profile has no power");
   profile_epoch_ = NextProfileVersion();
 }
 
@@ -390,7 +401,7 @@ void Detector::RefreshAngularProfile(
   static_spectrum_ =
       ComputeMusicSpectrum(retained_calibration_, array_, band_,
                            config_.music)
-          .Smoothed(config_.spectrum_smoothing_deg);
+          .Smoothed(kSpectrumSmoothingDeg);
   path_weights_ =
       ComputePathWeights(static_spectrum_, config_.path_weighting);
 }

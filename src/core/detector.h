@@ -67,12 +67,6 @@ struct DetectorConfig {
   // Monitoring window length M in packets (paper: ~0.5 s at 50 pkt/s).
   std::size_t window_packets = 25;
 
-  // Gaussian smoothing (degrees) applied to pseudospectra before they are
-  // compared / inverted into Eq. 17 weights. Roughly the 3-antenna array's
-  // angular resolution; keeps the spectrum distance stable under the +-1
-  // grid-point peak jitter of finite-sample MUSIC.
-  double spectrum_smoothing_deg = 6.0;
-
   // How many sanitized calibration packets to retain for re-weighted
   // pseudospectrum computation (evenly subsampled from the session).
   std::size_t retained_calibration_packets = 128;
@@ -275,6 +269,8 @@ class Detector {
   // [antenna][subcarrier] spans) and re-derive the normalization scales.
   // Allocation-free: the double-buffered swap writes the staged values over
   // the active profile without touching packet buffers or the threshold.
+  // Throws PreconditionError, with the active profile untouched, unless the
+  // staged mean power is finite and positive.
   void ApplyProfile(std::span<const double> power,
                     std::span<const double> amplitude,
                     std::span<const double> variance);

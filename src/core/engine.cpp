@@ -5,163 +5,9 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "dsp/stats.h"
 #include "kernels/kernels.h"
 
 namespace mulink::core {
-
-namespace {
-
-// Profile-drift watchdog (fixed knobs): a believed-empty window has a
-// posterior at or below kWatchdogEmptyPosterior; its score feeds an EWMA of
-// weight kWatchdogEwmaAlpha, and the flag trips once at least
-// kWatchdogMinWindows such windows were seen and the EWMA exceeds
-// kWatchdogScoreFraction x the detector's threshold.
-constexpr double kWatchdogEmptyPosterior = 0.2;
-constexpr double kWatchdogEwmaAlpha = 0.1;
-constexpr double kWatchdogScoreFraction = 0.9;
-constexpr std::size_t kWatchdogMinWindows = 8;
-
-// A link's frame guard plus its degraded-mode and watchdog state.
-struct GuardedIngest {
-  GuardedIngest() = default;
-  explicit GuardedIngest(const StreamingConfig& config) {
-    // mulink-lint: allow(alloc): ctor, setup path
-    if (config.guard_enabled) guard.emplace(config.guard);
-  }
-
-  // Inspect one arriving frame. nullopt means the frame is quarantined and
-  // must not reach the ring; otherwise the report's `resync` flag tells the
-  // caller to flush its ring before ingesting the frame.
-  std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet) {
-    MULINK_OBS_COUNT(metrics, kPacketsIngested);
-    if (!guard.has_value()) {
-      MULINK_OBS_COUNT(metrics, kPacketsAccepted);
-      return nic::FrameReport{};
-    }
-    // Per-frame latency is sampled 1-in-kIngestSampleEvery (deterministic
-    // tick, so totals merge bit-identically across shards); the verdict
-    // counters below stay exact.
-    obs::Registry* const timed = MULINK_OBS_SAMPLED(metrics);
-    nic::FrameReport report;
-    {
-      MULINK_OBS_STAGE_TIMER(timer, timed, kGuardClassify);
-      report = guard->Inspect(packet);
-    }
-    if (report.resync) MULINK_OBS_COUNT(metrics, kRingResyncs);
-    switch (report.verdict) {
-      case nic::FrameVerdict::kQuarantine:
-        MULINK_OBS_COUNT(metrics, kPacketsQuarantined);
-        break;
-      case nic::FrameVerdict::kRepair:
-        // Taint bookkeeping for the calibration ladder: a repaired frame in
-        // the hop disqualifies its window as quiet evidence, and a burst of
-        // RSSI-outlier repairs is the AGC fast re-baseline trigger.
-        ++repaired_since_decision;
-        if (report.Has(nic::FrameFault::kRssiOutlier)) {
-          ++agc_frames_since_decision;
-        }
-        MULINK_OBS_COUNT(metrics, kPacketsRepaired);
-        MULINK_OBS_COUNT(metrics, kPacketsAccepted);
-        break;
-      default:
-        MULINK_OBS_COUNT(metrics, kPacketsAccepted);
-        break;
-    }
-    if (report.verdict == nic::FrameVerdict::kQuarantine) return std::nullopt;
-    return report;
-  }
-
-  // All-antennas mask for a detector with `num_antennas` chains.
-  static std::uint32_t FullMask(std::size_t num_antennas) {
-    return num_antennas >= 32
-               ? 0xffffffffu
-               : ((1u << static_cast<std::uint32_t>(num_antennas)) - 1u);
-  }
-
-  // Live-antenna mask (FullMask when unguarded or nothing is dead).
-  std::uint32_t LiveMask(std::size_t num_antennas) const {
-    const std::uint32_t full = FullMask(num_antennas);
-    if (!guard.has_value()) return full;
-    return full & ~guard->dead_antenna_mask();
-  }
-
-  // Watchdog bookkeeping after a clean (non-degraded) decision.
-  void ObserveDecision(const PresenceDecision& decision,
-                       const Detector& detector) {
-    if (!guard.has_value()) return;
-    if (decision.posterior > kWatchdogEmptyPosterior) return;
-    if (empty_windows_seen == 0 && quiet_score_seed <= 0.0) {
-      // No calibration scores to seed from: cold start, the first
-      // believed-empty window sets the EWMA outright.
-      empty_score_ewma = decision.score;
-    } else {
-      // Seeded (at Bind and after Reset the EWMA already sits at the
-      // expected quiet score), so early windows blend instead of jumping —
-      // a reset cannot spuriously trip profile_drift on its first windows.
-      empty_score_ewma +=
-          kWatchdogEwmaAlpha * (decision.score - empty_score_ewma);
-    }
-    ++empty_windows_seen;
-    MULINK_OBS_GAUGE(metrics, kEmptyScoreEwma, empty_score_ewma);
-    if (detector.has_threshold() &&
-        empty_windows_seen >= kWatchdogMinWindows &&
-        empty_score_ewma > kWatchdogScoreFraction * detector.threshold()) {
-      profile_drift = true;
-    }
-  }
-
-  // Aggregate guard counters plus the degradation/watchdog fields.
-  nic::LinkHealth Health() const {
-    nic::LinkHealth health;
-    if (guard.has_value()) health = guard->health();
-    health.degraded = degraded;
-    health.degraded_decisions = degraded_decisions;
-    health.profile_drift = profile_drift;
-    health.empty_score_ewma = empty_score_ewma;
-    return health;
-  }
-
-  // Back to the just-bound state (guard counters included), so a reset
-  // link decides bit-identically to a fresh one fed the same tail. The
-  // metrics pointer is kept — the owning link resets its own registry.
-  void Reset() {
-    if (guard.has_value()) guard->Reset();
-    degraded = false;
-    degraded_decisions = 0;
-    empty_windows_seen = 0;
-    empty_score_ewma = quiet_score_seed;  // cold-start seed survives a reset
-    profile_drift = false;
-    repaired_since_decision = 0;
-    agc_frames_since_decision = 0;
-  }
-
-  // Observability shard (owned by the enclosing link). Admit mirrors the
-  // guard's accept/repair/quarantine tallies and ring resyncs into it, with
-  // the per-frame inspection latency sampled 1-in-kIngestSampleEvery; null
-  // is the no-op sink.
-  obs::Registry* metrics = nullptr;
-
-  std::optional<nic::FrameGuard> guard;
-  bool degraded = false;  // last decision used the fallback statistic
-  std::size_t degraded_decisions = 0;
-  std::size_t empty_windows_seen = 0;
-  double empty_score_ewma = 0.0;
-  bool profile_drift = false;
-  // Expected quiet score from the calibration empty scores (0 when none
-  // were provided). Seeds empty_score_ewma at Bind and on Reset so the
-  // first windows after a reset cannot spuriously trip profile_drift from
-  // a cold EWMA; with no seed the first-window hard set stays.
-  double quiet_score_seed = 0.0;
-  // Taint bookkeeping for the calibration ladder: repaired (flagged but
-  // usable) frames — and the subset carrying the RSSI-outlier AGC fault —
-  // admitted since the last emitted decision. The owner zeroes both after
-  // each decision.
-  std::size_t repaired_since_decision = 0;
-  std::size_t agc_frames_since_decision = 0;
-};
-
-}  // namespace
 
 struct SensingEngine::LinkState {
   // What a link's buffers are sized by. An evicted link's state stays
@@ -287,18 +133,14 @@ struct SensingEngine::LinkState {
     view = owned_detector.has_value() ? &*owned_detector
                                       : shared_detector.get();
     config = cfg;
-    ingest = GuardedIngest(config);
+    guard.reset();
+    // mulink-lint: allow(alloc): Bind, setup path
+    if (config.guard_enabled) guard.emplace(config.guard);
     filter.reset();
     hmm.reset();
     if (config.use_hmm) {
       hmm = PresenceHmm::FitFromEmptyScores(empty_scores, config.hmm);
       filter.emplace(*hmm);  // mulink-lint: allow(alloc): Bind, setup path
-    }
-    // Seed the drift watchdog's EWMA at the expected quiet score so the
-    // first windows after Bind or Reset cannot spuriously trip the flag.
-    if (!empty_scores.empty()) {
-      ingest.quiet_score_seed = dsp::Mean(empty_scores);
-      ingest.empty_score_ewma = ingest.quiet_score_seed;
     }
     calibrator.Configure(*view, std::span<const double>(empty_scores),
                          config.calibration);
@@ -318,6 +160,56 @@ struct SensingEngine::LinkState {
 
   const Detector& det() const { return *view; }
 
+  // Inspect one arriving frame. nullopt means the frame is quarantined and
+  // must not reach the ring; otherwise the report's `resync` flag tells the
+  // caller to flush its ring before ingesting the frame. The guard's
+  // accept/repair/quarantine tallies and ring resyncs are mirrored into
+  // `sink`, with the per-frame inspection latency sampled
+  // 1-in-kIngestSampleEvery (deterministic tick, so totals merge
+  // bit-identically across shards); the verdict counters stay exact.
+  std::optional<nic::FrameReport> Admit(const wifi::CsiPacket& packet,
+                                        obs::Registry* sink) {
+    MULINK_OBS_COUNT(sink, kPacketsIngested);
+    if (!guard.has_value()) {
+      MULINK_OBS_COUNT(sink, kPacketsAccepted);
+      return nic::FrameReport{};
+    }
+    obs::Registry* const timed = MULINK_OBS_SAMPLED(sink);
+    nic::FrameReport report;
+    {
+      MULINK_OBS_STAGE_TIMER(timer, timed, kGuardClassify);
+      report = guard->Inspect(packet);
+    }
+    if (report.resync) MULINK_OBS_COUNT(sink, kRingResyncs);
+    switch (report.verdict) {
+      case nic::FrameVerdict::kQuarantine:
+        MULINK_OBS_COUNT(sink, kPacketsQuarantined);
+        return std::nullopt;
+      case nic::FrameVerdict::kRepair:
+        // A repaired frame in the hop disqualifies its window as quiet
+        // evidence, and a burst of RSSI-outlier repairs is the AGC fast
+        // re-baseline trigger.
+        ++repaired_since_decision;
+        if (report.Has(nic::FrameFault::kRssiOutlier)) {
+          ++agc_frames_since_decision;
+        }
+        MULINK_OBS_COUNT(sink, kPacketsRepaired);
+        MULINK_OBS_COUNT(sink, kPacketsAccepted);
+        break;
+      default:
+        MULINK_OBS_COUNT(sink, kPacketsAccepted);
+        break;
+    }
+    return report;
+  }
+
+  // All-antennas mask for a detector with `num_antennas` chains.
+  static std::uint32_t FullMask(std::size_t num_antennas) {
+    return num_antennas >= 32
+               ? 0xffffffffu
+               : ((1u << static_cast<std::uint32_t>(num_antennas)) - 1u);
+  }
+
   // Feed one packet: guard it, write it into the ring and, when a window
   // aligned to the hop completes, score it and update the belief. Every
   // per-packet map is computed ONCE on ingest (phase sanitize, multipath
@@ -329,10 +221,9 @@ struct SensingEngine::LinkState {
   std::optional<PresenceDecision> Push(const wifi::CsiPacket& packet) {
     const Detector& detector = det();
     obs::Registry* const sink = metrics_on ? &metrics : nullptr;
-    ingest.metrics = sink;
     scratch->metrics = sink;
     calibrator.metrics = sink;
-    const auto report = ingest.Admit(packet);
+    const auto report = Admit(packet, sink);
     if (!report.has_value()) return std::nullopt;  // quarantined
     if (report->resync) {
       // Gap too wide to straddle: flush the ring, keep the temporal state.
@@ -395,15 +286,14 @@ struct SensingEngine::LinkState {
     // packet of every window shape below.
     decision.timestamp_s = packet.timestamp_s;
 
-    const std::uint32_t live_mask = ingest.LiveMask(detector.num_antennas());
-    const std::uint32_t full_mask =
-        GuardedIngest::FullMask(detector.num_antennas());
+    const std::uint32_t full_mask = FullMask(detector.num_antennas());
+    const std::uint32_t live_mask =
+        guard.has_value() ? full_mask & ~guard->dead_antenna_mask()
+                          : full_mask;
     MULINK_OBS_GAUGE(sink, kLiveAntennas,
                      static_cast<double>(std::popcount(live_mask)));
-    if (live_mask == 0 ||
-        (live_mask != full_mask && !config.degraded_fallback)) {
-      // Every chain dead, or fallback disabled while one is: pause
-      // decisions until the chain revives.
+    if (live_mask == 0) {
+      // Every chain dead: pause decisions until one revives.
       MULINK_OBS_COUNT(sink, kDecisionsSuppressed);
       return std::nullopt;
     }
@@ -457,11 +347,11 @@ struct SensingEngine::LinkState {
     // Degraded mode: surviving antennas only, fallback statistic and
     // threshold, HMM frozen (its emission model belongs to the primary
     // statistic).
-    const bool degraded = live_mask != full_mask && detector.has_threshold();
+    const bool fallback = live_mask != full_mask && detector.has_threshold();
     Detector::Window scored;
     scored.packets = window_span;
     scored.sanitized = pre_sanitize;
-    if (degraded) {
+    if (fallback) {
       scored.live_mask = live_mask;
       scored.fallback = true;
     }
@@ -473,34 +363,29 @@ struct SensingEngine::LinkState {
     if (rows_fast) scored.power_rows = power_window;
     if (baseline_fast) scored.baseline_scores = baseline_window;
     decision.score = detector.Score(scored, *scratch);
-    if (degraded) {
+    degraded = fallback;
+    if (fallback) {
       decision.occupied = decision.score >= detector.fallback_threshold();
       decision.posterior = decision.occupied ? 1.0 : 0.0;
       decision.degraded = true;
-      ingest.degraded = true;
-      ++ingest.degraded_decisions;
+      ++degraded_decisions;
       MULINK_OBS_COUNT(sink, kDegradedDecisions);
     } else {
       if (filter.has_value()) {
         MULINK_OBS_STAGE_TIMER(hmm_timer, sink, kHmmFilter);
         decision.posterior = filter->Update(decision.score);
-        decision.occupied =
-            decision.posterior >= config.decision_probability ||
-            (config.hmm_threshold_fusion && detector.has_threshold() &&
-             decision.score >= detector.threshold());
+        decision.occupied = decision.posterior >= config.decision_probability;
         MULINK_OBS_COUNT(sink, kHmmUpdates);
       } else {
         decision.occupied = decision.score >= detector.threshold();
         decision.posterior = decision.occupied ? 1.0 : 0.0;
       }
-      ingest.degraded = false;
-      ingest.ObserveDecision(decision, detector);
     }
     if (calibrator.enabled()) {
       CalibrationWindowContext context;
       context.degraded = decision.degraded;
-      context.repaired_frames = ingest.repaired_since_decision;
-      context.agc_frames = ingest.agc_frames_since_decision;
+      context.repaired_frames = repaired_since_decision;
+      context.agc_frames = agc_frames_since_decision;
       // The ring already holds packets in the detector's expected
       // sanitization state (sanitized on ingest iff the scheme consumes
       // sanitized windows), so the posteriors learn from window_span
@@ -522,12 +407,9 @@ struct SensingEngine::LinkState {
         hmm->RefitEmptyEmission(calibrator.quiet_log_mean(),
                                 calibrator.quiet_log_sigma());
       }
-      // The ladder owns the drift flag when enabled — unlike the flag-only
-      // watchdog it can clear it again by recalibrating in place.
-      ingest.profile_drift = calibrator.drift_flagged();
     }
-    ingest.repaired_since_decision = 0;
-    ingest.agc_frames_since_decision = 0;
+    repaired_since_decision = 0;
+    agc_frames_since_decision = 0;
     occupied = decision.occupied;
     posterior = decision.posterior;
     MULINK_OBS_COUNT(sink, kDecisions);
@@ -578,11 +460,12 @@ struct SensingEngine::LinkState {
   void Reset() {
     ClearStream();
     if (filter.has_value()) filter->Reset();
-    ingest.Reset();
+    if (guard.has_value()) guard->Reset();
     calibrator.Reset(det());
   }
 
-  // Empty ring, no belief, no recorded metrics (Bind and Reset).
+  // Empty ring, no belief, no degraded or taint tallies, no recorded
+  // metrics (Bind and Reset).
   void ClearStream() {
     write_pos = 0;
     count = 0;
@@ -590,6 +473,10 @@ struct SensingEngine::LinkState {
     mu_median_pending = 0;
     occupied = false;
     posterior = 0.0;
+    degraded = false;
+    degraded_decisions = 0;
+    repaired_since_decision = 0;
+    agc_frames_since_decision = 0;
     metrics.Reset();
     result.decisions.clear();
     result.occupied = false;
@@ -608,7 +495,15 @@ struct SensingEngine::LinkState {
   std::shared_ptr<const Detector> shared_detector;
   const Detector* view = nullptr;
   StreamingConfig config;
-  GuardedIngest ingest;
+  // Frame validation in front of the ring (config.guard_enabled links).
+  std::optional<nic::FrameGuard> guard;
+  bool degraded = false;  // last decision used the fallback statistic
+  std::size_t degraded_decisions = 0;
+  // Taint bookkeeping for the calibration ladder: repaired (flagged but
+  // usable) frames — and the subset carrying the RSSI-outlier AGC fault —
+  // admitted since the last emitted decision.
+  std::size_t repaired_since_decision = 0;
+  std::size_t agc_frames_since_decision = 0;
   LinkCalibrator calibrator;
   std::optional<PresenceHmm> hmm;
   std::optional<PresenceHmm::Filter> filter;  // references hmm; do not move
@@ -796,8 +691,13 @@ double SensingEngine::posterior(std::size_t link) const {
 }
 
 nic::LinkHealth SensingEngine::Health(std::size_t link) const {
-  nic::LinkHealth health = Link(link).ingest.Health();
-  Link(link).calibrator.FillHealth(health);
+  const LinkState& state = Link(link);
+  nic::LinkHealth health;
+  if (state.guard.has_value()) health = state.guard->health();
+  health.degraded = state.degraded;
+  health.degraded_decisions = state.degraded_decisions;
+  // The ladder alone fills profile_drift and empty_score_ewma.
+  state.calibrator.FillHealth(health);
   return health;
 }
 

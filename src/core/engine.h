@@ -116,8 +116,9 @@ class SensingEngine {
   double posterior(std::size_t link) const;
 
   // Link health snapshot: frame-guard fault counters, dead-antenna mask,
-  // degraded-mode, profile-drift watchdog and calibration-ladder state.
-  // All-zero when the link's guard and adaptive calibration are disabled.
+  // degraded-mode and calibration-ladder state (the ladder alone fills
+  // profile_drift and empty_score_ewma). All-zero when the link's guard and
+  // adaptive calibration are disabled.
   nic::LinkHealth Health(std::size_t link) const;
 
   // Adaptive-calibration state for one link (inert when the link's

@@ -26,16 +26,6 @@ struct StreamingConfig {
   HmmConfig hmm;
   // Posterior above which the room is declared occupied (HMM mode).
   double decision_probability = 0.5;
-  // Decision fusion (HMM mode): also declare occupied when the raw score
-  // crosses the detector's active threshold, even if the posterior stayed
-  // below decision_probability. With adaptive calibration the HMM's empty
-  // emission legitimately tracks the drifting quiet level, which makes
-  // weak presence — scores between the quiet fit's flip point and the
-  // calibrated threshold — read as vacant; the re-anchored threshold is
-  // the absolute operating point that still catches it. Off by default:
-  // without calibration a stale threshold under drift charges every
-  // vacant window above it as a false positive.
-  bool hmm_threshold_fusion = false;
 
   // Frame validation (nic::FrameGuard) in front of the ring. Quarantined
   // frames never reach a window; repairable frames are ingested with their
@@ -43,32 +33,24 @@ struct StreamingConfig {
   // flushes the ring (the buffered packets and the new one no longer form a
   // contiguous window). Off by default — guarded ingest of a clean stream
   // is bit-identical to unguarded ingest.
+  //
+  // When the guard confirms a dead RX chain, the link keeps deciding on the
+  // surviving antennas with the detector's fallback statistic
+  // (Detector::Window's live_mask and fallback; the combined scheme falls
+  // back to subcarrier-only weighting, since MUSIC needs the full array);
+  // with every chain dead, decisions pause until one revives. Degraded
+  // decisions bypass the HMM — its emission model was fitted to the
+  // primary statistic — and the filter resumes, state intact, on recovery.
   bool guard_enabled = false;
   nic::FrameGuardConfig guard;
 
-  // When the guard confirms a dead RX chain, keep deciding on the surviving
-  // antennas with the detector's fallback statistic (Detector::Window's
-  // live_mask and fallback; the combined scheme falls back to
-  // subcarrier-only weighting, since MUSIC needs the full array). When
-  // false, decisions pause until the chain revives. Degraded decisions
-  // bypass the HMM — its emission model was fitted to the primary
-  // statistic — and the filter resumes, state intact, on recovery.
-  bool degraded_fallback = true;
-
-  // Guarded links also run a profile-drift watchdog with fixed settings: an
-  // EWMA (weight 0.1) of the scores of clean windows the link itself
-  // believes are empty (posterior <= 0.2), seeded at the mean calibration
-  // empty score. Once 8 such windows were seen and the EWMA exceeds 0.9 x
-  // the detector's threshold, the static profile s(0) no longer matches the
-  // quiet channel and LinkHealth::profile_drift flags that recalibration is
-  // due.
-
   // Online Bayesian calibration (core/calibration): per-link posteriors
   // over the quiet profile and threshold plus the recalibration ladder
-  // Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen. When
-  // enabled, the ladder owns LinkHealth::profile_drift (it can clear the
-  // flag by recalibrating in place); the watchdog above keeps feeding its
-  // EWMA either way. Off by default.
+  // Healthy -> DriftSuspected -> Recalibrating -> Degraded -> Frozen. The
+  // ladder is the link's only drift sensor: it alone fills
+  // LinkHealth::profile_drift and empty_score_ewma (it can clear the flag
+  // by recalibrating in place), so both stay false / 0 when it is off. Off
+  // by default.
   CalibrationConfig calibration;
 };
 

@@ -141,11 +141,13 @@ struct LinkHealth {
   // Filled by the sensing layer:
   bool degraded = false;         // last decision used the fallback statistic
   std::uint64_t degraded_decisions = 0;
-  bool profile_drift = false;    // watchdog: s(0) no longer matches empty air
-  double empty_score_ewma = 0.0; // watchdog state (quarantine-filtered)
+  // Filled by the adaptive-calibration ladder (core/calibration), the only
+  // drift sensor: false / 0 when adaptive calibration is off.
+  bool profile_drift = false;    // s(0) no longer matches empty air
+  double empty_score_ewma = 0.0; // the ladder's quiet-score EWMA
 
-  // Filled by the adaptive-calibration ladder (core/calibration); all at
-  // their zero values when adaptive calibration is off.
+  // Also filled by the ladder; all at their zero values when adaptive
+  // calibration is off.
   CalibrationLadder calibration_state = CalibrationLadder::kHealthy;
   std::uint64_t quiet_windows = 0;   // windows accepted as quiet evidence
   std::uint64_t profile_swaps = 0;   // in-place recalibrations applied

@@ -1,10 +1,9 @@
 // Adaptive-calibration tests: the QuietScorePosterior / ProfilePosterior
 // sufficient statistics, the recalibration ladder's state machine
 // (drift confirmation, AGC fast re-baseline, blackout escape, starvation
-// fallback, timeout/backoff/freeze, swap-spacing de-escalation), the
-// profile-drift watchdog's edge cases (minimum windows, reset, degraded
-// windows, dead-chain revive), and a golden decision digest with the
-// ladder active under long-horizon drift faults.
+// fallback, timeout/backoff/freeze, swap-spacing de-escalation, a poisoned
+// staged profile), the health fields the ladder alone owns, and a golden
+// decision digest with the ladder active under long-horizon drift faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -537,6 +536,23 @@ TEST(RecalibrationLadder, SwapSpacingControlsEscalation) {
   }
 }
 
+// An empty room under long-horizon drift faults: gain ramp, furniture
+// step, scheduled AGC jumps.
+std::vector<wifi::CsiPacket> DriftFaultedSession() {
+  nic::FaultInjectionConfig faults;
+  faults.enabled = true;
+  faults.seed = 77;
+  faults.drift_ramp_db_per_1k = 2.0;
+  faults.furniture_step_packets = 900;
+  faults.furniture_step_sigma_db = 1.0;
+  faults.agc_schedule_every_packets = 700;  // multiple of the window length
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults = faults;
+  auto drifting = ex::MakeSimulator(Fixture().link, sim_config);
+  Rng rng(909);
+  return drifting.CaptureSession(2100, std::nullopt, rng);
+}
+
 TEST(RecalibrationLadder, FillHealthExportsTheLadder) {
   LadderHarness h(FastLadderConfig());
   const double drifting = 0.97 * h.threshold;
@@ -559,104 +575,78 @@ TEST(RecalibrationLadder, FillHealthExportsTheLadder) {
   inert.FillHealth(untouched);
   EXPECT_TRUE(untouched.profile_drift);
   EXPECT_EQ(untouched.calibration_state, nic::CalibrationLadder::kHealthy);
-}
 
-// ------------------------------------------ drift watchdog edge cases --
-
-// The watchdog's settings are fixed (StreamingConfig): it trips once 8
-// believed-empty windows were seen and their score EWMA exceeds 0.9 x the
-// detector's threshold. Links here run the HMM without threshold fusion,
-// so the threshold feeds only the watchdog: placing it so that 0.9 x
-// threshold sits safely below the quiet level makes plain empty traffic
-// trip the flag after 8 windows — the tests below pin WHEN the flag may
-// move, not the detection margin itself.
-core::StreamingConfig WatchdogConfig() {
-  core::StreamingConfig config;
-  config.use_hmm = true;
-  config.guard_enabled = true;
-  return config;
-}
-
-double Mean(const std::vector<double>& values) {
-  double mean = 0.0;
-  for (const double v : values) mean += v;
-  return mean / static_cast<double>(values.size());
-}
-
-void HairTrigger(core::Detector& detector,
-                 const std::vector<double>& empty_scores) {
-  detector.SetThreshold(0.8 * Mean(empty_scores) / 0.9);
-}
-
-TEST(ProfileDriftWatchdog, FlagAndEwmaSeedSurviveReset) {
+  // The ladder is the only drift sensor: a guarded link with calibration
+  // off leaves both drift fields at zero on a drifting stream.
   auto& f = Fixture();
   auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
   const auto empty_scores = f.EmptyScores(detector);
-  HairTrigger(detector, empty_scores);
-  const double seed = Mean(empty_scores);
-
+  core::StreamingConfig stream;
+  stream.guard_enabled = true;
   core::SensingEngine engine;
-  engine.AddLink(std::move(detector), empty_scores, WatchdogConfig());
-  // Before any window the EWMA sits at the calibration seed, not 0.
-  EXPECT_DOUBLE_EQ(engine.Health(0).empty_score_ewma, seed);
-
-  // Seven believed-empty windows are one short of the minimum; the eighth
-  // trips the flag.
-  const std::span<const wifi::CsiPacket> session(f.empty_session);
-  const auto& first = engine.ProcessBatch(0, session.subspan(0, 7 * kWindow));
-  ASSERT_EQ(first.decisions.size(), 7u);
-  for (const auto& d : first.decisions) EXPECT_LE(d.posterior, 0.2);
-  EXPECT_FALSE(engine.Health(0).profile_drift);
-  engine.ProcessBatch(0, session.subspan(7 * kWindow, kWindow));
-  EXPECT_TRUE(engine.Health(0).profile_drift);
-
-  engine.Reset(0);
-  EXPECT_FALSE(engine.Health(0).profile_drift);
-  // The cold-start seed survives the reset: the first windows after a
-  // reset blend into a warm EWMA instead of jumping from 0.
-  EXPECT_DOUBLE_EQ(engine.Health(0).empty_score_ewma, seed);
-
-  // And the same tail trips the flag again — reset does not blind it.
-  engine.ProcessBatch(0, session);
-  EXPECT_TRUE(engine.Health(0).profile_drift);
+  engine.AddLink(std::move(detector), empty_scores, stream);
+  const auto session = DriftFaultedSession();
+  ASSERT_FALSE(
+      engine.ProcessBatch(std::span<const wifi::CsiPacket>(session))
+          .decisions.empty());
+  const auto uncalibrated = engine.Health(0);
+  EXPECT_FALSE(uncalibrated.profile_drift);
+  EXPECT_EQ(uncalibrated.empty_score_ewma, 0.0);
+  EXPECT_EQ(uncalibrated.calibration_state, nic::CalibrationLadder::kHealthy);
 }
 
-TEST(ProfileDriftWatchdog, DegradedWindowsAreIgnoredUntilTheChainRevives) {
+// Without the frame guard nothing filters corrupt frames, so their NaN and
+// saturated cells reach the profile posterior. The swap must refuse that
+// staged profile and the failure must stay link-local: nothing throws out
+// of the decision path, decisions keep flowing, and the ladder leaves
+// Healthy instead of installing the profile.
+TEST(RecalibrationLadder, CorruptStagedProfileDegradesInsteadOfThrowing) {
   auto& f = Fixture();
-  auto detector = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
-  const auto empty_scores = f.EmptyScores(detector);
-  HairTrigger(detector, empty_scores);
-  core::SensingEngine engine;
-  engine.AddLink(std::move(detector), empty_scores, WatchdogConfig());
+  auto sim_config = ex::DefaultSimConfig();
+  sim_config.faults.enabled = true;
+  sim_config.faults.seed = 5;
+  sim_config.faults.drop_prob = 0.03;
+  sim_config.faults.corrupt_prob = 0.01;
+  sim_config.faults.agc_jump_prob = 0.005;
+  sim_config.faults.dead_antenna = 1;
+  sim_config.faults.dead_from_packet = 250;
+  sim_config.faults.drift_ramp_db_per_1k = 6.0;
+  auto faulty = ex::MakeSimulator(f.link, sim_config);
+  Rng rng(5);
+  const auto session = faulty.CaptureSession(1200, std::nullopt, rng);
 
-  // First half of the stream arrives with RX chain 2 silenced: the guard
-  // confirms the dead chain and every decision is degraded.
-  const std::size_t half = f.empty_session.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    wifi::CsiPacket killed = f.empty_session[i];
-    for (std::size_t k = 0; k < killed.NumSubcarriers(); ++k) {
-      killed.csi.At(2, k) = Complex(0.0, 0.0);
+  auto detector =
+      f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
+  const auto empty_scores = f.EmptyScores(detector);
+  core::StreamingConfig stream;
+  stream.window_packets = 30;
+  stream.hop_packets = 5;
+  stream.use_hmm = true;
+  stream.calibration.enabled = true;
+  core::SensingEngine engine;
+  engine.AddLink(std::move(detector), empty_scores, stream);
+
+  std::size_t decisions = 0;
+  ASSERT_NO_THROW({
+    for (const auto& packet : session) {
+      if (engine.ProcessPacket(0, packet)) ++decisions;
     }
-    engine.ProcessPacket(0, killed);
-  }
-  {
-    const auto health = engine.Health(0);
-    EXPECT_EQ(health.dead_antenna_mask, 1u << 2);
-    EXPECT_GT(health.degraded_decisions, 0u);
-    // Degraded decisions score a different statistic on a different
-    // scale — the watchdog must not learn (or flag) from them, however
-    // long the outage runs.
-    EXPECT_FALSE(health.profile_drift);
+  });
+  EXPECT_EQ(decisions, (session.size() - 30) / 5 + 1);
+  EXPECT_NE(engine.Calibrator(0).state(), core::LadderState::kHealthy);
+  // Whatever the ladder did install is finite.
+  for (const auto& row : engine.detector(0).profile_power()) {
+    for (const double power : row) ASSERT_TRUE(std::isfinite(power));
   }
 
-  // The chain revives: clean decisions resume feeding the watchdog and the
-  // (deliberately hair-triggered) flag now trips.
-  for (std::size_t i = half; i < f.empty_session.size(); ++i) {
-    engine.ProcessPacket(0, f.empty_session[i]);
-  }
-  const auto health = engine.Health(0);
-  EXPECT_EQ(health.dead_antenna_mask, 0u);
-  EXPECT_TRUE(health.profile_drift);
+  // The detector itself checks a staged profile before writing any of it.
+  auto direct = f.Calibrated(core::DetectionScheme::kSubcarrierWeighting);
+  const auto before = direct.profile_power();
+  const std::vector<double> poisoned(
+      direct.num_antennas() * direct.num_subcarriers(), std::nan(""));
+  EXPECT_THROW(direct.ApplyProfile(poisoned, poisoned, poisoned),
+               PreconditionError);
+  EXPECT_EQ(direct.profile_power(), before);
 }
 
 // ------------------------------------------- golden decision digest --
@@ -666,18 +656,7 @@ TEST(ProfileDriftWatchdog, DegradedWindowsAreIgnoredUntilTheChainRevives) {
 // state are pinned bit for bit.
 TEST(GoldenDecisions, AdaptiveCalibrationUnderDriftFaults) {
   auto& f = Fixture();
-  nic::FaultInjectionConfig faults;
-  faults.enabled = true;
-  faults.seed = 77;
-  faults.drift_ramp_db_per_1k = 2.0;
-  faults.furniture_step_packets = 900;
-  faults.furniture_step_sigma_db = 1.0;
-  faults.agc_schedule_every_packets = 700;  // multiple of the window length
-  auto sim_config = ex::DefaultSimConfig();
-  sim_config.faults = faults;
-  auto drifting = ex::MakeSimulator(f.link, sim_config);
-  Rng rng(909);
-  const auto session = drifting.CaptureSession(2100, std::nullopt, rng);
+  const auto session = DriftFaultedSession();
   golden::Fnv64 input;
   input.U64(golden::PacketDigest(f.calibration));
   input.U64(golden::PacketDigest(f.empty_session));
@@ -709,7 +688,7 @@ TEST(GoldenDecisions, AdaptiveCalibrationUnderDriftFaults) {
 
   const std::uint64_t digest =
       golden::DecisionDigest(batch.decisions, health, calibrator);
-  EXPECT_EQ(digest, 0xd15cac4f6d1e64ceull) << std::hex << "digest=0x" << digest;
+  EXPECT_EQ(digest, 0x0e8af936705d4570ull) << std::hex << "digest=0x" << digest;
 }
 
 }  // namespace

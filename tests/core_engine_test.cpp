@@ -172,8 +172,8 @@ constexpr std::uint64_t kFixtureInputDigest = 0x24096dfb845c4a1dull;
 TEST(GoldenDecisions, CombinedSchemeHop10) {
   auto& f = Fixture();
   ASSERT_EQ(FixtureDigest(f), kFixtureInputDigest) << "input changed";
-  const std::uint64_t kGolden[] = {0x5180dc054ad075d6ull,  // use_hmm = false
-                                   0x99e73973a704dae0ull};  // true
+  const std::uint64_t kGolden[] = {0xa07693b38786459eull,  // use_hmm = false
+                                   0x7d1e891b2231880cull};  // true
   for (bool use_hmm : {false, true}) {
     auto detector =
         f.Calibrated(core::DetectionScheme::kSubcarrierAndPathWeighting);
@@ -213,14 +213,14 @@ TEST(GoldenDecisions, CleanInputAllSchemes) {
   // Rows in loop order: scheme (kAllSchemes) x hop {1, 10} x use_hmm
   // {false, true}.
   const std::uint64_t kGolden[] = {
-      0xc99ee52b657e91f8ull, 0xf7a90f9cc56b68e9ull,  // baseline, hop 1
-      0x7c791c7b8f07a5f9ull, 0xd7ecfe7333a98bd6ull,  // baseline, hop 10
-      0xb2827c914233cafaull, 0x8977ee240bf3ccd1ull,  // subcarrier, hop 1
-      0x748ce9cbfaa3078cull, 0xa6e2c4b719ad5c8aull,  // subcarrier, hop 10
-      0xd23e4fbf7b1bdc7eull, 0xfd86ff0b5d337d7cull,  // combined, hop 1
-      0x80b9bff2bd5c27ccull, 0xa7367327ae39f4deull,  // combined, hop 10
-      0xf16ffe226943a666ull, 0x976e514be82d7092ull,  // variance, hop 1
-      0x1c75d7c2055855efull, 0x0af6c3ffd358c3c5ull,  // variance, hop 10
+      0x4202976f7e6e29abull, 0x32a34ac36fe209e6ull,  // baseline, hop 1
+      0x105c180ae07b80d6ull, 0xd241494e52292065ull,  // baseline, hop 10
+      0x7c94344d3b46af52ull, 0x1de89d8bfaa7bbd5ull,  // subcarrier, hop 1
+      0xb81207f4ce96afb8ull, 0xf7acf0f43bf3e6e2ull,  // subcarrier, hop 10
+      0x8d96772f6c1cf206ull, 0xeeb83a1ad4f03070ull,  // combined, hop 1
+      0x1429b591839a1940ull, 0x9c8673772a378e26ull,  // combined, hop 10
+      0x5d623a0d867a3f62ull, 0x6a2ff504ffab760eull,  // variance, hop 1
+      0xaec586e16dfc6873ull, 0xd2fd3bb0716b8f79ull,  // variance, hop 10
   };
   std::size_t row = 0;
   for (auto scheme : kAllSchemes) {
@@ -642,7 +642,7 @@ TEST(EngineEquivalence, SharedDetectorSharedScratchMatchesOwned) {
 TEST(EngineEquivalence, BaselineIngestCacheSurvivesRecalibration) {
   auto& f = Fixture();
   ASSERT_EQ(FixtureDigest(f), kFixtureInputDigest) << "input changed";
-  constexpr std::uint64_t kGolden = 0x5af5b69327f4935bull;
+  constexpr std::uint64_t kGolden = 0xe6df299370fc7b5full;
   auto detector = f.Calibrated(core::DetectionScheme::kBaseline);
   const auto empty_scores = EmptyScores(f, detector);
   detector.SetThreshold(1.0);
@@ -711,42 +711,42 @@ TEST(GoldenDecisions, PowerRowSchemesUnderFaults) {
     std::uint64_t digest;
   };
   const Golden kGolden[] = {
-      {kSubcarrier, 24, 1, true, 0xf2e50a805c9df055ull},
-      {kSubcarrier, 24, 1, false, 0x1f932b74354dd331ull},
-      {kSubcarrier, 24, 10, true, 0xc43c3e58c2bee836ull},
-      {kSubcarrier, 24, 10, false, 0xd9a65e276a53f21cull},
-      {kSubcarrier, 24, 25, true, 0xc76cad5f6d6d1307ull},
-      {kSubcarrier, 24, 25, false, 0x19bddaefaf7e9a6aull},
-      {kSubcarrier, 25, 1, true, 0x4eb2cde4249ed10bull},
-      {kSubcarrier, 25, 1, false, 0x20592398b41274e3ull},
-      {kSubcarrier, 25, 10, true, 0xa49cdf006ef8d9d7ull},
-      {kSubcarrier, 25, 10, false, 0x710bb9f19ec845caull},
-      {kSubcarrier, 25, 25, true, 0xb5d72e5715447e54ull},
-      {kSubcarrier, 25, 25, false, 0x3ce044e428cfe2ddull},
-      {kSubcarrier, 40, 1, true, 0xc12ec5458251845aull},
-      {kSubcarrier, 40, 1, false, 0x2a2b76e22b7d9e9dull},
-      {kSubcarrier, 40, 10, true, 0x58561c93c1c4639dull},
-      {kSubcarrier, 40, 10, false, 0x3146997d86bfea4dull},
-      {kSubcarrier, 40, 25, true, 0x19dfcd047d4dbec4ull},
-      {kSubcarrier, 40, 25, false, 0x1585bb4e2052c795ull},
-      {kVariance, 24, 1, true, 0x7cf0b4660abf9b9dull},
-      {kVariance, 24, 1, false, 0xc9c442dafbb37c3aull},
-      {kVariance, 24, 10, true, 0xf6b3228684451e9cull},
-      {kVariance, 24, 10, false, 0x2c71608a447a3ad5ull},
-      {kVariance, 24, 25, true, 0x0e51e5e17f478ee1ull},
-      {kVariance, 24, 25, false, 0x6c2bb94a6a1b0469ull},
-      {kVariance, 25, 1, true, 0xc3e5eeccd6106e51ull},
-      {kVariance, 25, 1, false, 0x561be9541eca1447ull},
-      {kVariance, 25, 10, true, 0xb4c553af35d3ff5full},
-      {kVariance, 25, 10, false, 0x28861cb70d684c6cull},
-      {kVariance, 25, 25, true, 0xb603645c1777be1eull},
-      {kVariance, 25, 25, false, 0x1c9dad86e8ed83efull},
-      {kVariance, 40, 1, true, 0x1287fbd199daa09bull},
-      {kVariance, 40, 1, false, 0x27b5c8afc1733c76ull},
-      {kVariance, 40, 10, true, 0x71f6698ab3b0e870ull},
-      {kVariance, 40, 10, false, 0x93db8b794fa0a43full},
-      {kVariance, 40, 25, true, 0x2a21b5dba1aa7685ull},
-      {kVariance, 40, 25, false, 0x019c361f926e92b4ull},
+      {kSubcarrier, 24, 1, true, 0xc20c5a295fbe9849ull},
+      {kSubcarrier, 24, 1, false, 0xee3114d8395f8165ull},
+      {kSubcarrier, 24, 10, true, 0xde934f0641bf3df8ull},
+      {kSubcarrier, 24, 10, false, 0xfefc4ca177fe4572ull},
+      {kSubcarrier, 24, 25, true, 0x009813e543f8dec7ull},
+      {kSubcarrier, 24, 25, false, 0x4a54bea70d825facull},
+      {kSubcarrier, 25, 1, true, 0xa5c855738989a4e6ull},
+      {kSubcarrier, 25, 1, false, 0x24046d520b03c66aull},
+      {kSubcarrier, 25, 10, true, 0xbb1fb7fc5461b0c5ull},
+      {kSubcarrier, 25, 10, false, 0x46abff887225b900ull},
+      {kSubcarrier, 25, 25, true, 0x19a436c83c182821ull},
+      {kSubcarrier, 25, 25, false, 0xf38fa3bfd58e2a2full},
+      {kSubcarrier, 40, 1, true, 0x31882c3e85ff1aa5ull},
+      {kSubcarrier, 40, 1, false, 0xa83ca892c42edccfull},
+      {kSubcarrier, 40, 10, true, 0x08e61cd467c0a5e5ull},
+      {kSubcarrier, 40, 10, false, 0x42701407ca958abdull},
+      {kSubcarrier, 40, 25, true, 0x7cab20673bc94d4cull},
+      {kSubcarrier, 40, 25, false, 0x68dcd1ef7e177f7full},
+      {kVariance, 24, 1, true, 0x86f1b4256e7909e4ull},
+      {kVariance, 24, 1, false, 0x2dce177e8bb72e8full},
+      {kVariance, 24, 10, true, 0x524b533748b10c45ull},
+      {kVariance, 24, 10, false, 0x9fd2d53695648fe8ull},
+      {kVariance, 24, 25, true, 0x3aa2c4b4703763f6ull},
+      {kVariance, 24, 25, false, 0x06902f2309b88da6ull},
+      {kVariance, 25, 1, true, 0xb9cd47c22f44b002ull},
+      {kVariance, 25, 1, false, 0x9d0d393e70edbb9cull},
+      {kVariance, 25, 10, true, 0x2dcf75b8464f57b0ull},
+      {kVariance, 25, 10, false, 0xf216b9e1acb07427ull},
+      {kVariance, 25, 25, true, 0xb5c5842dc1f29e33ull},
+      {kVariance, 25, 25, false, 0x2858a0c72946f4baull},
+      {kVariance, 40, 1, true, 0x56f607c1a4aa1f0eull},
+      {kVariance, 40, 1, false, 0xffe8fe5e65ca9107ull},
+      {kVariance, 40, 10, true, 0x3cd18d0eeb514f4aull},
+      {kVariance, 40, 10, false, 0xff46d66cb6e02375ull},
+      {kVariance, 40, 25, true, 0xaa559733020ea731ull},
+      {kVariance, 40, 25, false, 0x02238e4808013748ull},
   };
   std::size_t checked = 0;
   for (auto scheme : {kSubcarrier, kVariance}) {

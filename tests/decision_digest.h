@@ -73,8 +73,6 @@ inline std::uint64_t DecisionDigest(
   h.U64(health.dead_antenna_mask);
   h.Bool(health.degraded);
   h.U64(health.degraded_decisions);
-  h.Bool(health.profile_drift);
-  h.F64(health.empty_score_ewma);
   h.U64(static_cast<std::uint64_t>(health.calibration_state));
   h.U64(health.quiet_windows);
   h.U64(health.profile_swaps);

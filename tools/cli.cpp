@@ -418,10 +418,6 @@ int Detect(const Args& args, std::ostream& out) {
       out << "  degraded:   " << health.degraded_decisions
           << " decisions on the fallback statistic\n";
     }
-    if (health.profile_drift) {
-      out << "  WATCHDOG:   static profile drift detected — "
-             "recalibration due\n";
-    }
   }
   if (adaptive) {
     const nic::LinkHealth health = engine.Health(0);
